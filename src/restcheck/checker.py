@@ -33,56 +33,46 @@ class CheckOutcome:
     disagreements: tuple[str, ...] = ()
 
 
-def parse_and_validate(text: str, file_name: str = "<input>"
-                       ) -> tuple[ResourceModel | None,
-                                  BehavioralModel | None,
-                                  list[Diagnostic]]:
-    """Front half of the pipeline; never raises, all trouble becomes diagnostics."""
+def _parse(text: str, file_name: str
+           ) -> tuple[ResourceModel | None, BehavioralModel | None, list[Diagnostic]]:
+    """Parse without raising: syntax and name errors become diagnostics."""
     try:
         rm, bm = dsl.parse_model(text, file_name)
     except ParseError as exc:
         return None, None, [exc.to_diagnostic()]
     except ResolveError as exc:
         return None, None, exc.to_diagnostics()
-    diagnostics = validate_resource_model(rm)
-    if bm is not None:
-        diagnostics += validate_behavioral_model(bm, rm)
-    return rm, bm, diagnostics
+    return rm, bm, []
 
 
 def _has_errors(diagnostics: list[Diagnostic]) -> bool:
     return any(d.severity is Severity.ERROR for d in diagnostics)
 
 
-def _witness_confirmed(ontology: owl.Ontology, fragment: str,
-                       witness: reasoner.Witness | None, bound: int) -> int | None:
-    """Size of a tableau witness the evaluator accepts, or None.
+def _front(text: str, file_name: str, base_iri: str
+           ) -> tuple[str, tuple[owl.Ontology, translate.IriMap] | None, list[Diagnostic]]:
+    """Front half of the pipeline: parse, then translate (which validates).
 
-    A tableau witness obtained by redirecting blocked edges can break the
-    distinctness needed by min-cardinalities, so its size only counts against
-    the bounded search when the structure actually checks out.
+    Never raises; on invalid input the translation is None and the
+    diagnostics say why.
     """
-    if witness is None or not witness.faithful or witness.size > bound:
-        return None
-    fm = oracle.FiniteModel(witness.size, witness.classes,
-                            witness.roles, witness.values)
-    if oracle.violations(fm, ontology):
-        return None
-    if not oracle.eval_expr(fm, owl.Named(fragment), 0):
-        return None
-    return witness.size
+    rm, bm, diagnostics = _parse(text, file_name)
+    if rm is None:
+        return "", None, diagnostics
+    try:
+        ontology, iris, diagnostics = translate.translate_models(rm, bm, base_iri)
+    except translate.InvalidModelError as exc:
+        return rm.name, None, list(exc.diagnostics)
+    return rm.name, (ontology, iris), diagnostics
 
 
 def check_model(text: str, file_name: str = "<input>", *,
                 base_iri: str = owl.DEFAULT_BASE_IRI,
                 oracle_bound: int | None = None) -> CheckOutcome:
-    rm, bm, diagnostics = parse_and_validate(text, file_name)
-    name = rm.name if rm is not None else ""
-    if rm is None or _has_errors(diagnostics):
+    name, translated, diagnostics = _front(text, file_name, base_iri)
+    if translated is None:
         return CheckOutcome(build_report(name, [], diagnostics), EXIT_INVALID)
-
-    ontology, iris, tdiags = translate.translate_models(rm, bm, base_iri)
-    diagnostics += tdiags
+    ontology, iris = translated
 
     tbox = reasoner.compile_tbox(ontology)
     verdicts = reasoner.classify_all(tbox)
@@ -113,15 +103,18 @@ def check_model(text: str, file_name: str = "<input>", *,
                     f"'{entry.name}': tableau reports unsatisfiable but a "
                     f"structure of size {checked.model.size} satisfies it")
             elif result.sat and checked.status is oracle.OracleStatus.NO_MODEL_UP_TO_BOUND:
-                size = _witness_confirmed(ontology, fragment,
-                                          result.witness, oracle_bound)
-                if size is not None:
+                # a tableau witness obtained by redirecting blocked edges can
+                # break the distinctness needed by min-cardinalities, so it
+                # only counts against the search when the structure checks out
+                w = result.witness
+                if (w is not None and w.faithful and w.size <= oracle_bound
+                        and not oracle.check_witness(ontology, fragment, w)):
                     disagreements.append(
                         f"'{entry.name}': tableau produced a verified structure "
-                        f"of size {size} but the bounded search found none up "
+                        f"of size {w.size} but the bounded search found none up "
                         f"to {oracle_bound}")
 
-    rep = build_report(rm.name, concepts, diagnostics)
+    rep = build_report(name, concepts, diagnostics)
     if disagreements:
         code = EXIT_DISAGREEMENT
     elif rep.overall == "inconsistent":
@@ -133,7 +126,11 @@ def check_model(text: str, file_name: str = "<input>", *,
 
 def validate_model(text: str, file_name: str = "<input>") -> CheckOutcome:
     """Structural checks only; the report carries no concept verdicts."""
-    rm, _, diagnostics = parse_and_validate(text, file_name)
+    rm, bm, diagnostics = _parse(text, file_name)
+    if rm is not None:
+        diagnostics = validate_resource_model(rm)
+        if bm is not None:
+            diagnostics += validate_behavioral_model(bm, rm)
     name = rm.name if rm is not None else ""
     rep = CheckReport(name,
                       "invalid" if rm is None or _has_errors(diagnostics)
@@ -147,9 +144,7 @@ def translate_model(text: str, file_name: str = "<input>", *,
                     base_iri: str = owl.DEFAULT_BASE_IRI
                     ) -> tuple[str | None, list[Diagnostic], int]:
     """Produce ontology text, or diagnostics explaining why not."""
-    rm, bm, diagnostics = parse_and_validate(text, file_name)
-    if rm is None or _has_errors(diagnostics):
+    _, translated, diagnostics = _front(text, file_name, base_iri)
+    if translated is None:
         return None, diagnostics, EXIT_INVALID
-    ontology, _, tdiags = translate.translate_models(rm, bm, base_iri)
-    diagnostics += tdiags
-    return owl.serialize(ontology), diagnostics, EXIT_CONSISTENT
+    return owl.serialize(translated[0]), diagnostics, EXIT_CONSISTENT

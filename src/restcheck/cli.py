@@ -13,22 +13,22 @@ import sys
 
 from . import checker, owl
 from .diagnostics import Severity
+from .oracle import ORACLE_MAX_DOMAIN
 from .report import render_json, render_text
 
 _ORACLE_SPEC = re.compile(r"bounded:([0-9]+)\Z")
-ORACLE_CLI_MAX = 4
 
 
 def _oracle_arg(value: str) -> int:
     m = _ORACLE_SPEC.match(value)
     if m is None:
         raise argparse.ArgumentTypeError(
-            f"expected 'bounded:k' with k between 1 and {ORACLE_CLI_MAX}, "
+            f"expected 'bounded:k' with k between 1 and {ORACLE_MAX_DOMAIN}, "
             f"got {value!r}")
     k = int(m.group(1))
-    if not 1 <= k <= ORACLE_CLI_MAX:
+    if not 1 <= k <= ORACLE_MAX_DOMAIN:
         raise argparse.ArgumentTypeError(
-            f"oracle bound must be between 1 and {ORACLE_CLI_MAX}, got {k}")
+            f"oracle bound must be between 1 and {ORACLE_MAX_DOMAIN}, got {k}")
     return k
 
 
@@ -68,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--oracle", type=_oracle_arg, metavar="bounded:k",
                        default=None,
                        help="also run the bounded model search up to domain "
-                            "size k (1..4) and fail on disagreement")
+                            f"size k (1..{ORACLE_MAX_DOMAIN}) and fail on disagreement")
     return parser
 
 

@@ -22,9 +22,9 @@ binding are left to the validators.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .diagnostics import ParseError, ResolveError, SourceSpan
+from .lexer import Tok, TokenCursor, tokenize, unquote
 from .model import (Association, AttributeDef, BehavioralModel, DataType,
                     ResourceDef, ResourceKind, ResourceModel, State, StateKind,
                     Transition, Trigger)
@@ -51,59 +51,14 @@ _KEYWORDS = {
 _TRIGGERS = {"PUT", "POST", "DELETE"}
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
-def _lex(text: str, file: str) -> list[_Tok]:
-    toks = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(file, line, col, f"unexpected character {text[pos]!r}")
-        kind = m.lastgroup or ""
-        value = m.group()
-        if kind not in ("ws", "comment"):
-            toks.append(_Tok(kind, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = m.end()
-    toks.append(_Tok("eof", "", line, col))
-    return toks
-
-
-def _unquote(text: str) -> str:
-    return re.sub(r"\\(.)", lambda m: m.group(1), text[1:-1])
-
-
-class _Parser:
+class _Parser(TokenCursor):
     """Recursive descent over the token list."""
 
-    def __init__(self, toks: list[_Tok], file: str):
-        self.toks = toks
-        self.file = file
-        self.i = 0
+    def __init__(self, toks: list[Tok], file: str):
+        super().__init__(toks, file)
         self.unresolved: list[tuple[str, int, int]] = []
 
     # -- token plumbing
-
-    def peek(self) -> _Tok:
-        return self.toks[self.i]
-
-    def next(self) -> _Tok:
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
 
     def at(self, text: str) -> bool:
         return self.peek().text == text and self.peek().kind in ("ident", "punct", "arrow", "range")
@@ -114,35 +69,30 @@ class _Parser:
             return True
         return False
 
-    def fail(self, expected: str, tok: _Tok | None = None):
-        tok = tok or self.peek()
-        found = "end of input" if tok.kind == "eof" else repr(tok.text)
-        raise ParseError(self.file, tok.line, tok.col, f"expected {expected}, found {found}")
-
-    def expect(self, text: str) -> _Tok:
+    def expect(self, text: str) -> Tok:
         if not self.at(text):
             self.fail(f"'{text}'")
         return self.next()
 
-    def ident(self, what: str = "an identifier") -> _Tok:
+    def ident(self, what: str = "an identifier") -> Tok:
         tok = self.peek()
         if tok.kind != "ident" or tok.text in _KEYWORDS:
             self.fail(what)
         return self.next()
 
-    def nat(self) -> _Tok:
+    def nat(self) -> Tok:
         tok = self.peek()
         if tok.kind != "nat":
             self.fail("a number")
         return self.next()
 
-    def string(self, what: str = "a quoted string") -> _Tok:
+    def string(self, what: str = "a quoted string") -> Tok:
         tok = self.peek()
         if tok.kind != "string":
             self.fail(what)
         return self.next()
 
-    def span(self, start: _Tok, end: _Tok | None = None) -> SourceSpan:
+    def span(self, start: Tok, end: Tok | None = None) -> SourceSpan:
         end = end or self.toks[max(self.i - 1, 0)]
         return SourceSpan(self.file, start.line, start.col, end.line, end.col + len(end.text))
 
@@ -282,7 +232,7 @@ class _Parser:
         tok = self.string("a quoted invariant")
         # positions inside the invariant are offset past the opening quote
         origin = SourceSpan.point(self.file, tok.line, tok.col + 1)
-        return parse_ocl(_unquote(tok.text), origin)
+        return parse_ocl(unquote(tok.text), origin)
 
     def trans_decl(self) -> Transition:
         start = self.expect("transition")
@@ -306,9 +256,9 @@ class _Parser:
             target_resource = self.ident().text
         guard = post = ""
         if self.accept("guard"):
-            guard = _unquote(self.string().text)
+            guard = unquote(self.string().text)
         if self.accept("post"):
-            post = _unquote(self.string().text)
+            post = unquote(self.string().text)
         return Transition(source.text, target.text, trigger, target_resource,
                           guard, post, span=self.span(start))
 
@@ -350,7 +300,7 @@ def parse_model(text: str, file_name: str = "<input>") -> tuple[ResourceModel, B
     Raises ParseError on syntax errors and ResolveError when names do not
     bind; both carry file positions.
     """
-    parser = _Parser(_lex(text, file_name), file_name)
+    parser = _Parser(tokenize(_TOKEN_RE, text, file_name), file_name)
     return parser.model()
 
 

@@ -12,7 +12,8 @@ import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .diagnostics import ParseError, SourceSpan
+from .diagnostics import SourceSpan
+from .lexer import Tok, TokenCursor, tokenize, unquote
 from .model import AttributeDef, Association, DataType
 
 if TYPE_CHECKING:
@@ -99,74 +100,11 @@ _TOKEN_RE = re.compile(r"""
 _KEYWORDS = {"self", "and", "or", "True", "False", "size"}
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
-def _lex(text: str, file: str, base_line: int, base_col: int) -> list[_Tok]:
-    toks = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(file, _abs_line(line, base_line), _abs_col(line, col, base_col),
-                             f"unexpected character {text[pos]!r}")
-        kind = m.lastgroup or ""
-        value = m.group()
-        if kind != "ws":
-            toks.append(_Tok(kind, value, _abs_line(line, base_line), _abs_col(line, col, base_col)))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = m.end()
-    toks.append(_Tok("eof", "", _abs_line(line, base_line), _abs_col(line, col, base_col)))
-    return toks
-
-
-def _abs_line(line: int, base_line: int) -> int:
-    return base_line + line - 1
-
-
-def _abs_col(line: int, col: int, base_col: int) -> int:
-    return base_col + col - 1 if line == 1 else col
-
-
-def _unquote(text: str) -> str:
-    body = text[1:-1]
-    return re.sub(r"\\(.)", lambda m: m.group(1), body)
-
-
 # --- parser ------------------------------------------------------------------
 
 
-class _Parser:
-    def __init__(self, toks: list[_Tok], file: str):
-        self.toks = toks
-        self.file = file
-        self.i = 0
-
-    def peek(self) -> _Tok:
-        return self.toks[self.i]
-
-    def next(self) -> _Tok:
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
-
-    def fail(self, expected: str, tok: _Tok | None = None):
-        tok = tok or self.peek()
-        found = "end of input" if tok.kind == "eof" else repr(tok.text)
-        raise ParseError(self.file, tok.line, tok.col, f"expected {expected}, found {found}")
-
-    def expect_text(self, text: str) -> _Tok:
+class _Parser(TokenCursor):
+    def expect_text(self, text: str) -> Tok:
         tok = self.peek()
         if tok.text != text:
             self.fail(f"'{text}'")
@@ -254,7 +192,7 @@ class _Parser:
                 break
         return NavPath(tuple(segs))
 
-    def literal(self) -> tuple[OclLiteral, _Tok]:
+    def literal(self) -> tuple[OclLiteral, Tok]:
         tok = self.peek()
         if tok.text in ("True", "False"):
             self.next()
@@ -277,7 +215,7 @@ class _Parser:
             self.fail("a number", num)
         if tok.kind == "string":
             self.next()
-            return OclLiteral(DataType.STRING, _unquote(tok.text)), tok
+            return OclLiteral(DataType.STRING, unquote(tok.text)), tok
         self.fail("a literal")
         raise AssertionError("unreachable")
 
@@ -296,7 +234,7 @@ def parse_ocl(text: str, origin: SourceSpan | None = None) -> OclExpr:
         file, base_line, base_col = origin.file, origin.line, origin.col
     else:
         file, base_line, base_col = "<ocl>", 1, 1
-    parser = _Parser(_lex(text, file, base_line, base_col), file)
+    parser = _Parser(tokenize(_TOKEN_RE, text, file, base_line, base_col), file)
     expr = parser.expr()
     if parser.peek().kind != "eof":
         parser.fail("end of input")

@@ -149,6 +149,20 @@ def satisfies(model: FiniteModel, ontology: owl.Ontology) -> bool:
     return not violations(model, ontology)
 
 
+def check_witness(ontology: owl.Ontology, class_name: str,
+                  structure: FiniteModel) -> list[str]:
+    """Why the structure is not a model of the ontology with element 0 in the
+    class; empty when it is.
+
+    A tableau witness has the same fields as a FiniteModel and is checked as
+    it is.
+    """
+    problems = violations(structure, ontology)
+    if not eval_expr(structure, Named(class_name), 0):
+        problems.append(f"element 0 is not a member of {class_name}")
+    return problems
+
+
 # --- propositional encoding --------------------------------------------------
 
 
@@ -634,8 +648,8 @@ def bounded_model_search(ontology: owl.Ontology, class_name: str,
         if assignment is None:
             continue
         model = enc.decode(assignment)
-        problems = violations(model, ontology)
-        if problems or not eval_expr(model, Named(class_name), 0):
+        problems = check_witness(ontology, class_name, model)
+        if problems:
             raise OracleInternalError(
                 "search returned a structure the evaluator rejects: "
                 + "; ".join(problems[:3]))

@@ -16,6 +16,7 @@ from decimal import Decimal, InvalidOperation
 from typing import Iterator
 
 from .diagnostics import ParseError
+from .lexer import Tok, TokenCursor, tokenize, unquote
 from .model import DataType
 
 XSD_PREFIX = "http://www.w3.org/2001/XMLSchema#"
@@ -312,50 +313,12 @@ _OFS_TOKEN_RE = re.compile(r"""
 _DATATYPES = {f"xsd:{d.value}": d for d in DataType}
 
 
-class _OfsParser:
+class _OfsParser(TokenCursor):
     def __init__(self, text: str, file: str):
-        self.file = file
-        self.toks: list[_OfsTok] = []
-        self._lex(text)
-        self.i = 0
+        super().__init__(tokenize(_OFS_TOKEN_RE, text, file), file)
         self.prefixes: dict[str, str] = {}
 
-    def _lex(self, text: str):
-        line, col = 1, 1
-        pos = 0
-        while pos < len(text):
-            m = _OFS_TOKEN_RE.match(text, pos)
-            if m is None:
-                raise ParseError(self.file, line, col,
-                                 f"unexpected character {text[pos]!r}")
-            kind = m.lastgroup or ""
-            value = m.group()
-            if kind not in ("ws", "comment"):
-                self.toks.append(_OfsTok(kind, value, line, col))
-            newlines = value.count("\n")
-            if newlines:
-                line += newlines
-                col = len(value) - value.rfind("\n")
-            else:
-                col += len(value)
-            pos = m.end()
-        self.toks.append(_OfsTok("eof", "", line, col))
-
-    def peek(self) -> "_OfsTok":
-        return self.toks[self.i]
-
-    def next(self) -> "_OfsTok":
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
-
-    def fail(self, expected: str, tok: "_OfsTok | None" = None):
-        tok = tok or self.peek()
-        found = "end of input" if tok.kind == "eof" else repr(tok.text)
-        raise ParseError(self.file, tok.line, tok.col,
-                         f"expected {expected}, found {found}")
-
-    def expect(self, kind: str, text: str | None = None) -> "_OfsTok":
+    def expect(self, kind: str, text: str | None = None) -> Tok:
         tok = self.peek()
         if tok.kind != kind or (text is not None and tok.text != text):
             self.fail(text or kind)
@@ -514,7 +477,7 @@ class _OfsParser:
 
     def literal(self) -> OwlLiteral:
         tok = self.expect("literal")
-        lexical = re.sub(r"\\(.)", lambda m: m.group(1), tok.text[1:-1])
+        lexical = unquote(tok.text)
         dt = DataType.STRING
         if self.peek().kind == "carets":
             self.next()
@@ -524,16 +487,8 @@ class _OfsParser:
                              f"{lexical!r} is not a valid xsd:{dt.value} literal")
         return OwlLiteral(lexical, dt)
 
-    def pos(self, tok: "_OfsTok") -> str:
+    def pos(self, tok: Tok) -> str:
         return f"{self.file}:{tok.line}:{tok.col}"
-
-
-@dataclass(frozen=True)
-class _OfsTok:
-    kind: str
-    text: str
-    line: int
-    col: int
 
 
 def parse_functional_syntax(text: str, file_name: str = "<ontology>") -> Ontology:

@@ -37,7 +37,10 @@ class IriEntry:
 
 
 class InvalidModelError(Exception):
-    """Raised when translation is asked to run on a structurally broken model."""
+    """Raised when translation is asked to run on a structurally broken model.
+
+    `diagnostics` holds every validation diagnostic, in validation order.
+    """
 
     def __init__(self, diagnostics: list[Diagnostic]):
         lines = "; ".join(d.message for d in diagnostics)
@@ -57,6 +60,7 @@ class IriMap:
         self.classes: dict[str, IriEntry] = {}
         self.object_props: dict[str, IriEntry] = {}
         self.data_props: dict[str, IriEntry] = {}
+        self._fragments: dict[tuple[ElementKind, str | None, str], str] = {}
 
     def _claim(self, space: dict[str, IriEntry], wanted: str, entry: IriEntry) -> str:
         fragment = wanted
@@ -65,6 +69,7 @@ class IriMap:
             fragment = f"{wanted}_{n}"
             n += 1
         space[fragment] = entry
+        self._fragments.setdefault((entry.kind, entry.owner, entry.name), fragment)
         return fragment
 
     def add_resource(self, r) -> str:
@@ -86,28 +91,16 @@ class IriMap:
                                     span=att.span))
 
     def class_of_resource(self, name: str) -> str:
-        for fragment, entry in self.classes.items():
-            if entry.kind is ElementKind.RESOURCE and entry.name == name:
-                return fragment
-        raise KeyError(name)
+        return self._fragments[(ElementKind.RESOURCE, None, name)]
 
     def class_of_state(self, name: str) -> str:
-        for fragment, entry in self.classes.items():
-            if entry.kind is ElementKind.STATE and entry.name == name:
-                return fragment
-        raise KeyError(name)
+        return self._fragments[(ElementKind.STATE, None, name)]
 
     def prop_of_association(self, label: str) -> str:
-        for fragment, entry in self.object_props.items():
-            if entry.name == label:
-                return fragment
-        raise KeyError(label)
+        return self._fragments[(ElementKind.ASSOCIATION, None, label)]
 
     def prop_of_attribute(self, owner: str, name: str) -> str:
-        for fragment, entry in self.data_props.items():
-            if entry.name == name and entry.owner == owner:
-                return fragment
-        raise KeyError((owner, name))
+        return self._fragments[(ElementKind.ATTRIBUTE, owner, name)]
 
     def element_for_class(self, fragment: str) -> IriEntry | None:
         return self.classes.get(fragment)
@@ -116,11 +109,6 @@ class IriMap:
 def translate_resource_model(rm: ResourceModel,
                              base_iri: str = owl.DEFAULT_BASE_IRI) -> tuple[owl.Ontology, IriMap]:
     """Build the ontology for a structurally valid resource model."""
-    problems = [d for d in validate_resource_model(rm)
-                if d.severity is Severity.ERROR]
-    if problems:
-        raise InvalidModelError(problems)
-
     iris = IriMap()
     axioms: list[owl.Axiom] = []
     for r in rm.resources:
@@ -186,11 +174,6 @@ def translate_behavioral_model(bm: BehavioralModel, rm: ResourceModel,
     Invariants with an impossible size bound are still translated (to an
     explicitly empty class) and reported through `diagnostics`.
     """
-    problems = [d for d in validate_behavioral_model(bm, rm)
-                if d.severity is Severity.ERROR]
-    if problems:
-        raise InvalidModelError(problems)
-
     ontology, iris = base
     axioms = list(ontology.axioms)
     anchor = owl.Named(iris.class_of_resource(bm.for_resource))
@@ -297,8 +280,16 @@ def _wrap(hops, iris: IriMap, inner: owl.ClassExpr) -> owl.ClassExpr:
 def translate_models(rm: ResourceModel, bm: BehavioralModel | None,
                      base_iri: str = owl.DEFAULT_BASE_IRI
                      ) -> tuple[owl.Ontology, IriMap, list[Diagnostic]]:
-    """Translate a resource model and optional behavior in one call."""
-    diagnostics: list[Diagnostic] = []
+    """Translate a resource model and optional behavior in one call.
+
+    Both models are validated first; if any check fails, InvalidModelError
+    carries every validation diagnostic and nothing is translated.
+    """
+    diagnostics = validate_resource_model(rm)
+    if bm is not None:
+        diagnostics += validate_behavioral_model(bm, rm)
+    if any(d.severity is Severity.ERROR for d in diagnostics):
+        raise InvalidModelError(diagnostics)
     ontology, iris = translate_resource_model(rm, base_iri)
     if bm is not None:
         ontology, iris = translate_behavioral_model(bm, rm, (ontology, iris),

@@ -5,9 +5,8 @@ import random
 
 from restcheck.dsl import format_model, parse_model
 from restcheck.ocl import format_ocl, parse_ocl
-from restcheck.oracle import (FiniteModel, OracleStatus, bounded_model_search,
-                              eval_expr, violations)
-from restcheck.owl import Named, parse_functional_syntax, serialize
+from restcheck.oracle import OracleStatus, bounded_model_search, check_witness
+from restcheck.owl import parse_functional_syntax, serialize
 from restcheck.reasoner import compile_tbox, is_satisfiable
 
 import _generators
@@ -40,9 +39,9 @@ def differential_case(seed: int) -> tuple[list[str], int, int]:
             if w is None or not w.faithful:
                 problems.append(f"seed {seed} {name}: witness missing")
             else:
-                why = witness_problems(ont, name, w)
+                why = check_witness(ont, name, w)
                 if why:
-                    problems.append(f"seed {seed} {name}: {why}")
+                    problems.append(f"seed {seed} {name}: witness: {why[0]}")
         else:
             unsat_n += 1
             if res.status is not OracleStatus.NO_MODEL_UP_TO_BOUND:
@@ -50,18 +49,6 @@ def differential_case(seed: int) -> tuple[list[str], int, int]:
                     f"seed {seed} {name}: tableau unsat, model of size "
                     f"{res.bound} found")
     return problems, sat_n, unsat_n
-
-
-def witness_problems(ontology, fragment: str, witness) -> str | None:
-    """Check a tableau witness against the naive semantics evaluator."""
-    model = FiniteModel(witness.size, witness.classes, witness.roles,
-                        witness.values)
-    broken = violations(model, ontology)
-    if broken:
-        return f"witness breaks {broken[0]}"
-    if not eval_expr(model, Named(fragment), 0):
-        return "witness root is not a member of the queried class"
-    return None
 
 
 def dsl_fixed_point(text: str, file_name: str = "<input>") -> str | None:

@@ -137,15 +137,24 @@ def test_oracle_agreement_keeps_exit_zero():
     assert proc.stderr == ""
 
 
-def test_oracle_disagreement_exit_code(monkeypatch, capsys):
-    """Force the search to contradict the tableau and watch the front end."""
-    def always_sat(ontology, fragment, bound):
-        return OracleResult(OracleStatus.SAT, 1,
-                            FiniteModel(1, {}, {}, {}))
+def _search_finds_a_model(ontology, fragment, bound):
+    return OracleResult(OracleStatus.SAT, 1, FiniteModel(1, {}, {}, {}))
 
+
+def _search_finds_none(ontology, fragment, bound):
+    return OracleResult(OracleStatus.NO_MODEL_UP_TO_BOUND, bound)
+
+
+@pytest.mark.parametrize("search, path, expected", [
+    (_search_finds_a_model, MUTATED,
+     "restcheck: oracle disagreement on 'processingPayment'"),
+    (_search_finds_none, BOOKING, "tableau produced a verified structure"),
+], ids=["tableau-unsat", "tableau-sat"])
+def test_oracle_disagreement_exit_code(monkeypatch, capsys, search, path, expected):
+    """Force the search to contradict the tableau and watch the front end."""
     import restcheck.oracle
-    monkeypatch.setattr(restcheck.oracle, "bounded_model_search", always_sat)
-    code = cli.main(["check", MUTATED, "--oracle", "bounded:3"])
+    monkeypatch.setattr(restcheck.oracle, "bounded_model_search", search)
+    code = cli.main(["check", path, "--oracle", "bounded:3"])
     assert code == 4
     err = capsys.readouterr().err
-    assert "restcheck: oracle disagreement on 'processingPayment'" in err
+    assert expected in err

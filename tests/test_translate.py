@@ -3,13 +3,15 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import EXAMPLES
+from conftest import DATA, EXAMPLES
 
-from restcheck.diagnostics import Code, Severity
+from restcheck.checker import check_model, validate_model
+from restcheck.diagnostics import Code, ParseError, ResolveError, Severity
 from restcheck.dsl import parse_model
 from restcheck.ocl import parse_ocl
 from restcheck import owl
-from restcheck.translate import (ElementKind, translate_models, translate_ocl)
+from restcheck.translate import (ElementKind, InvalidModelError,
+                                 translate_models, translate_ocl)
 
 
 def _translate(text: str):
@@ -126,6 +128,25 @@ def test_clashing_class_fragments_get_suffixes():
     assert iris.class_of_state("s") == "State_s_2"
     entry = iris.element_for_class("State_s_2")
     assert entry.kind is ElementKind.STATE and entry.name == "s"
+
+
+def test_translate_models_is_the_one_validation_guard():
+    checked = 0
+    for path in sorted(DATA.glob("*.model")):
+        text = path.read_text()
+        try:
+            rm, bm = parse_model(text, path.name)
+        except (ParseError, ResolveError):
+            continue
+        with pytest.raises(InvalidModelError) as raised:
+            translate_models(rm, bm)
+        diagnostics = raised.value.diagnostics
+        assert diagnostics == validate_model(text, path.name).report.diagnostics
+        invalid = check_model(text, path.name).report
+        assert invalid.overall == "invalid"
+        assert diagnostics == invalid.diagnostics
+        checked += 1
+    assert checked == 5  # every data model but get_trigger.model parses
 
 
 BOOKING = """\
