@@ -49,22 +49,6 @@ class FiniteModel:
     roles: dict[str, frozenset[tuple[int, int]]]
     values: dict[str, dict[int, OwlLiteral]]
 
-    def describe(self) -> str:
-        lines = []
-        for i in range(self.size):
-            member = sorted(c for c, ext in self.classes.items() if i in ext)
-            parts = [f"classes {{{', '.join(member)}}}"]
-            for role in sorted(self.roles):
-                out = sorted(j for (a, j) in self.roles[role] if a == i)
-                if out:
-                    parts.append(f"{role} -> {{{', '.join(map(str, out))}}}")
-            for prop in sorted(self.values):
-                if i in self.values[prop]:
-                    lit = self.values[prop][i]
-                    parts.append(f"{prop} = {lit.lexical!r}")
-            lines.append(f"node {i}: " + "; ".join(parts))
-        return "\n".join(lines)
-
 
 @dataclass(frozen=True)
 class OracleResult:

@@ -9,11 +9,22 @@ subset blocking against ancestors guarantees termination.
 General axioms are internalized: every axiom becomes a disjunction that must
 hold at every node.  Domain and range axioms are applied lazily when edges
 appear instead, which avoids useless universal branching.
+
+The search is one loop.  The rules at node n change only n and its
+successors, and successors are created after n, so the engine keeps a cursor:
+every node before it is finished and stays unchanged on every branch.  A
+choice (which disjunct of a union, which pair of successors to merge) pushes
+the cursor, copies of the nodes from the cursor on, and the untried
+alternatives onto a stack.  A clash pops the next alternative and puts the
+saved nodes back, which also drops any node the failed branch created.
+Restoring that suffix, rather than undoing a trail of edits, keeps the rules
+free of bookkeeping.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import owl
 from .model import DataType
@@ -98,11 +109,7 @@ def _or(args) -> object:
 
 
 def nnf(expr, positive: bool = True):
-    """Negation normal form with constant folding."""
-    if isinstance(expr, _Top):
-        return TOP if positive else BOT
-    if isinstance(expr, _Bot):
-        return BOT if positive else TOP
+    """Negation normal form of an owl.ClassExpr, with constant folding."""
     if isinstance(expr, Named):
         return expr if positive else Complement(expr)
     if isinstance(expr, Complement):
@@ -123,17 +130,6 @@ def nnf(expr, positive: bool = True):
         if isinstance(filler, _Top):
             return TOP
         return _All(expr.prop, filler)
-    if isinstance(expr, _All):
-        filler = nnf(expr.filler, positive)
-        if positive:
-            if isinstance(filler, _Top):
-                return TOP
-            if isinstance(filler, _Bot):
-                return MaxCard(0, expr.prop)
-            return _All(expr.prop, filler)
-        if isinstance(filler, _Top):
-            return BOT
-        return Some(expr.prop, filler)
     if isinstance(expr, MinCard):
         if positive:
             return TOP if expr.n == 0 else expr
@@ -157,8 +153,6 @@ def nnf(expr, positive: bool = True):
         if expr.n == 1:
             return expr if positive else _NoValue(expr.prop)
         return BOT if positive else TOP
-    if isinstance(expr, _NoValue):
-        return expr if positive else DataExactCard(1, expr.prop)
     raise TypeError(f"not a class expression: {expr!r}")
 
 
@@ -303,13 +297,8 @@ class _Engine:
     def __init__(self, tbox: TBox):
         self.tbox = tbox
         self.nodes: list[_Node] = []
+        self.cursor = 0  # every node before it is finished
         self.steps = 0
-
-    def clone(self) -> "_Engine":
-        other = _Engine(self.tbox)
-        other.nodes = [n.copy() for n in self.nodes]
-        other.steps = self.steps
-        return other
 
     # -- label management
 
@@ -426,50 +415,60 @@ class _Engine:
         self.nodes.append(_Node(parent))
         return len(self.nodes) - 1
 
-    def solve(self):
-        while True:
-            step = self._step()
-            if step[0] == "clash":
-                return None
-            if step[0] == "done":
-                return self
-            if step[0] == "or":
-                _, nid, alts = step
-                for alt in alts:
-                    branch = self.clone()
-                    if branch.add(nid, alt) and (found := branch.solve()) is not None:
-                        return found
-                return None
-            _, nid, role, pairs = step
-            for keep, drop in pairs:
-                branch = self.clone()
-                if branch._merge(nid, role, keep, drop) and (found := branch.solve()) is not None:
-                    return found
-            return None
+    def solve(self) -> bool:
+        """Apply the rules until the graph is complete; False when every
+        alternative of every choice clashed."""
+        stack: list[tuple[int, list[_Node], list]] = []
+        while (alts := self._step()) is not None:
+            if len(alts) > 1:
+                # the untried alternatives, reversed so that pop() takes them in order
+                saved = [n.copy() for n in self.nodes[self.cursor:]]
+                stack.append((self.cursor, saved, alts[:0:-1]))
+            ok = bool(alts) and alts[0]()
+            while not ok:
+                if not stack:
+                    return False
+                self.cursor, saved, untried = stack[-1]
+                alt = untried.pop()
+                if untried:
+                    saved = [n.copy() for n in saved]
+                else:
+                    stack.pop()
+                self.nodes[self.cursor:] = saved
+                ok = alt()
+        return True
 
     def _step(self):
+        """Apply deterministic rules up to the next choice.
+
+        None: the graph is complete.  []: a clash.  Otherwise the
+        alternatives, callables that return False on a clash, in the order
+        they are to be tried.
+        """
         while True:
             self.steps += 1
             if self.steps > MAX_STEPS:
                 raise ReasonerLimitError("search exceeded the step limit")
-            for nid, node in enumerate(self.nodes):
-                if not node.alive:
-                    continue
-                if node.queue:
-                    union = node.queue.pop(0)
-                    if any(a in node.labels for a in union.args):
-                        break
-                    return ("or", nid, list(union.args))
-                if node.todo_roles is None or node.todo_roles:
-                    result = self._generate(nid)
-                    if result is not None:
-                        return result
-                    break
-            else:
-                return ("done",)
+            while self.cursor < len(self.nodes) and self._finished(self.nodes[self.cursor]):
+                self.cursor += 1
+            if self.cursor == len(self.nodes):
+                return None
+            nid = self.cursor
+            node = self.nodes[nid]
+            if node.queue:
+                union = node.queue.pop(0)
+                if not any(a in node.labels for a in union.args):
+                    return [partial(self.add, nid, a) for a in union.args]
+            elif (alts := self._generate(nid)) is not None:
+                return alts
+
+    @staticmethod
+    def _finished(node: _Node) -> bool:
+        return not node.alive or (not node.queue and node.todo_roles == [])
 
     def _generate(self, nid: int):
-        """One micro-step of successor construction; None means progress."""
+        """One micro-step of successor construction; None means progress,
+        otherwise as for _step."""
         node = self.nodes[nid]
         if node.todo_roles is None:
             blocker = self._blocked_by(nid)
@@ -497,14 +496,11 @@ class _Engine:
                         continue
                     pairs.append((a, b))
             if not pairs:
-                return ("clash",)
+                return []
             # newest pair first; survivors keep any distinctness marking
             pairs.sort(key=lambda p: (max(p), min(p)), reverse=True)
-            ordered = [self._orient(role, node, a, b) for a, b in pairs]
-            if len(ordered) == 1:
-                keep, drop = ordered[0]
-                return None if self._merge(nid, role, keep, drop) else ("clash",)
-            return ("merge", nid, role, ordered)
+            return [partial(self._merge, nid, role, *self._orient(role, node, a, b))
+                    for a, b in pairs]
         return self._finalize_role(nid, role)
 
     def _orient(self, role: str, node: _Node, a: int, b: int) -> tuple[int, int]:
@@ -533,7 +529,7 @@ class _Engine:
             child = self.new_node(nid)
             created.append(child)
             if not self.add(child, f):
-                return ("clash",)
+                return []
         group: list[int] = []
         for _ in range(need):
             child = self.new_node(nid)
@@ -549,16 +545,13 @@ class _Engine:
         props = [c.filler for c in node.labels
                  if isinstance(c, _All) and c.prop == role]
         props.extend(self.tbox.obj_range.get(role, ()))
-        for s in node.succ[role]:
-            child = self.nodes[s]
-            if not child.alive:
-                continue
+        for s in node.succ[role]:  # _merge takes the nodes it kills out of succ
             for c in props:
                 if not self.add(s, c):
-                    return ("clash",)
+                    return []
             for c in self.tbox.axioms_nnf:
                 if not self.add(s, c):
-                    return ("clash",)
+                    return []
         node.todo_roles.pop(0)
         return None
 
@@ -647,12 +640,9 @@ def is_satisfiable(tbox: TBox, concept) -> SatResult:
     ok = engine.add(root, query)
     for c in tbox.axioms_nnf:
         ok = ok and engine.add(root, c)
-    if not ok:
+    if not ok or not engine.solve():
         return SatResult(False)
-    completed = engine.solve()
-    if completed is None:
-        return SatResult(False)
-    return SatResult(True, completed.extract_witness())
+    return SatResult(True, engine.extract_witness())
 
 
 def classify_all(tbox: TBox) -> list[tuple[str, SatResult]]:

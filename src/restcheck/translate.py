@@ -233,7 +233,12 @@ def translate_ocl(expr: OclExpr, rm: ResourceModel, context: str, iris: IriMap,
     if isinstance(expr, AttrEq):
         resolved = resolve_path(rm, context, expr.path, attribute=True)
         assert resolved.attribute is not None
-        prop = iris.prop_of_attribute(resolved.resource, resolved.attribute.name)
+        # the property belongs to the resource that declares the attribute,
+        # which may be a parent of the one the path ends at
+        owner = rm.resource(resolved.resource)
+        while resolved.attribute not in owner.attributes:
+            owner = rm.resource(owner.parent)
+        prop = iris.prop_of_attribute(owner.name, resolved.attribute.name)
         value = owl.OwlLiteral(expr.value.lexical, expr.value.datatype)
         inner: owl.ClassExpr = owl.DataHasValue(prop, value)
         return _wrap(resolved.associations, iris, inner)

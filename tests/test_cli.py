@@ -137,6 +137,37 @@ def test_oracle_agreement_keeps_exit_zero():
     assert proc.stderr == ""
 
 
+INHERITED = """\
+resources Inherit {
+  root resource R { attr name: string }
+  resource S extends R { attr x: integer }
+  association s: R -> S [0..1]
+}
+
+behavior B for S {
+  initial i
+  state a { inv: "self.name = \\"n\\"" }
+  transition i -> a on POST S
+}
+"""
+
+
+def test_invariant_on_an_inherited_attribute(tmp_path):
+    # the data property is the one of R, which declares the attribute
+    path = tmp_path / "inherit.model"
+    path.write_text(INHERITED)
+    proc = run_cli("translate", str(path))
+    assert proc.returncode == 0
+    assert ('EquivalentClasses(:State_a DataHasValue(:name "n"^^xsd:string))'
+            in proc.stdout.splitlines())
+    for oracle in ([], ["--oracle", "bounded:3"]):
+        proc = run_cli("check", str(path), *oracle)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith(
+            "CONSISTENT: 2 resources, 1 states, all satisfiable")
+        assert proc.stderr == ""
+
+
 def _search_finds_a_model(ontology, fragment, bound):
     return OracleResult(OracleStatus.SAT, 1, FiniteModel(1, {}, {}, {}))
 

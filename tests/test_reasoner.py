@@ -11,8 +11,9 @@ from restcheck.owl import (DEFAULT_BASE_IRI, Complement, DataExactCard,
                            EntityKind, EquivalentClasses, ExactCard,
                            Intersection, MaxCard, MinCard, Named,
                            ObjectPropertyDomain, ObjectPropertyRange, Ontology,
-                           OwlLiteral, Some, SubClassOf)
+                           OwlLiteral, Some, SubClassOf, Union)
 from restcheck.model import DataType
+from restcheck.oracle import check_witness
 from restcheck.reasoner import classify_all, compile_tbox, is_satisfiable
 
 
@@ -140,6 +141,32 @@ def test_nested_existentials_terminate():
     ont = _ontology(SubClassOf(
         Named("A"), Some("r", Some("r", Some("r", Named("A"))))))
     assert _sat(ont, "A")
+
+
+def test_many_choice_points_need_no_recursion():
+    # every disjunction is a choice point of one search; 1200 of them once
+    # overflowed the interpreter stack
+    n = 1200
+    ont = _ontology(*(SubClassOf(Named("A"), Union((Named(f"B{i}"), Named(f"C{i}"))))
+                      for i in range(n)),
+                    classes=("A",) + tuple(f"{x}{i}" for i in range(n) for x in "BC"))
+    res = is_satisfiable(compile_tbox(ont), "A")
+    assert res.sat
+    assert res.witness is not None and res.witness.faithful
+    assert check_witness(ont, "A", res.witness) == []
+
+
+def test_failed_branch_leaves_no_nodes_behind():
+    # the first disjunct creates an r-successor that clashes; the witness of
+    # the second disjunct must not keep that successor
+    ont = _ontology(SubClassOf(Named("A"), Union((Some("r", Named("B")), Named("C")))),
+                    SubClassOf(Named("B"), Complement(Named("B"))),
+                    classes=("A", "B", "C"))
+    res = is_satisfiable(compile_tbox(ont), "A")
+    assert res.sat
+    assert res.witness is not None and res.witness.size == 1
+    assert not res.witness.roles.get("r")
+    assert res.witness.classes["C"] == frozenset({0})
 
 
 def test_verdicts_ignore_axiom_order():
