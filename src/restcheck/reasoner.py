@@ -6,9 +6,14 @@ inverse roles and no nominals, which keeps a few things simple: completion
 graphs are trees, node labels are final before successors are generated, and
 subset blocking against ancestors guarantees termination.
 
-General axioms are internalized: every axiom becomes a disjunction that must
-hold at every node.  Domain and range axioms are applied lazily when edges
-appear instead, which avoids useless universal branching.
+Axioms are absorbed where they can be (lazy unfolding): an inclusion whose
+left side is a class name A becomes the rule "when A enters a label, add the
+right side", and a disjointness of A and B becomes A's inclusion in not B.
+Only the inclusions with a compound left side, which for translated models
+are the halves of the state equivalences that say each invariant implies
+its state, are internalized as disjunctions that must hold at every node.
+Domain and range axioms are applied lazily when edges appear, which avoids
+useless universal branching.
 
 The search is one loop.  The rules at node n change only n and its
 successors, and successors are created after n, so the engine keeps a cursor:
@@ -165,6 +170,7 @@ class TBox:
     object_props: tuple[str, ...]
     data_props: tuple[str, ...]
     axioms_nnf: tuple       # concepts every node must satisfy
+    unfold: dict            # class name -> concepts every member satisfies
     obj_domain: dict
     obj_range: dict
     data_domain: dict
@@ -174,13 +180,16 @@ class TBox:
 def compile_tbox(ontology: owl.Ontology) -> TBox:
     """Compile an ontology for the tableau.
 
-    Inclusion, equivalence and disjointness axioms are internalized into
-    per-node constraints; domains and ranges are kept as edge rules.
+    Inclusion, equivalence and disjointness axioms are split into inclusions
+    of one side in the other.  Those whose left side is a class name are
+    absorbed into `unfold`; the rest are internalized into per-node
+    constraints.  Domains and ranges are kept as edge rules.
     """
     classes: list[str] = []
     object_props: list[str] = []
     data_props: list[str] = []
     globals_: list = []
+    unfold: dict[str, list] = {}
     obj_domain: dict[str, list] = {}
     obj_range: dict[str, list] = {}
     data_domain: dict[str, list] = {}
@@ -191,6 +200,11 @@ def compile_tbox(ontology: owl.Ontology) -> TBox:
             seq.append(name)
 
     def inclusion(sub, sup):
+        if isinstance(sub, Named):
+            c = nnf(sup, True)
+            if not isinstance(c, _Top):
+                unfold.setdefault(sub.name, []).append(c)
+            return
         c = _or([nnf(sub, False), nnf(sup, True)])
         if not isinstance(c, _Top):
             globals_.append(c)
@@ -210,9 +224,7 @@ def compile_tbox(ontology: owl.Ontology) -> TBox:
         elif isinstance(ax, owl.DisjointClasses):
             for i, a in enumerate(ax.args):
                 for b in ax.args[i + 1:]:
-                    c = _or([nnf(a, False), nnf(b, False)])
-                    if not isinstance(c, _Top):
-                        globals_.append(c)
+                    inclusion(a, Complement(b))
         elif isinstance(ax, owl.ObjectPropertyDomain):
             obj_domain.setdefault(ax.prop, []).append(nnf(ax.expr))
         elif isinstance(ax, owl.ObjectPropertyRange):
@@ -232,7 +244,7 @@ def compile_tbox(ontology: owl.Ontology) -> TBox:
                 register(data_props, sub.prop)
 
     return TBox(tuple(classes), tuple(object_props), tuple(data_props),
-                tuple(globals_),
+                tuple(globals_), {k: tuple(v) for k, v in unfold.items()},
                 {k: tuple(v) for k, v in obj_domain.items()},
                 {k: tuple(v) for k, v in obj_range.items()},
                 {k: tuple(v) for k, v in data_domain.items()},
@@ -315,7 +327,8 @@ class _Engine:
             return all(self.add(nid, a) for a in concept.args)
         node.labels[concept] = None
         if isinstance(concept, Named):
-            return Complement(concept) not in node.labels
+            return (Complement(concept) not in node.labels
+                    and all(self.add(nid, c) for c in self.tbox.unfold.get(concept.name, ())))
         if isinstance(concept, Complement):
             inner = concept.arg
             if isinstance(inner, Named):
@@ -486,12 +499,12 @@ class _Engine:
         if role not in node.succ:
             return self._create_successors(nid, role)
         cap = self._cap(node, role)
-        live = [s for s in node.succ[role] if self.nodes[s].alive]
-        if cap is not None and len(live) > cap:
+        succs = node.succ[role]  # _merge takes the nodes it kills out of succ
+        if cap is not None and len(succs) > cap:
             group = set(node.distinct.get(role, ()))
             pairs = []
-            for i, a in enumerate(live):
-                for b in live[i + 1:]:
+            for i, a in enumerate(succs):
+                for b in succs[i + 1:]:
                     if a in group and b in group:
                         continue
                     pairs.append((a, b))
@@ -545,7 +558,7 @@ class _Engine:
         props = [c.filler for c in node.labels
                  if isinstance(c, _All) and c.prop == role]
         props.extend(self.tbox.obj_range.get(role, ()))
-        for s in node.succ[role]:  # _merge takes the nodes it kills out of succ
+        for s in node.succ[role]:
             for c in props:
                 if not self.add(s, c):
                     return []
@@ -583,18 +596,21 @@ class _Engine:
         values: dict[str, dict[int, owl.OwlLiteral]] = {}
         faithful = True
         for node_id in ids:
+            # a blocked node never expanded, so it stands for a copy of its
+            # blocker: the blocker's classes, values and successors.  That is
+            # legal because its label is a subset of the blocker's, and needed
+            # because the successors it borrows may ask for classes (domains,
+            # unfolded axioms) that only the blocker's label holds
             node = self.nodes[node_id]
+            if node.blocker is not None:
+                node = self.nodes[node.blocker]
             k = index[node_id]
             for c in node.labels:
                 if isinstance(c, Named):
                     classes.setdefault(c.name, set()).add(k)
-            # a blocked node never expanded its own successors; it borrows its
-            # blocker's, legal because its label is a subset of the blocker's
-            src = self.nodes[node.blocker] if node.blocker is not None else node
-            for role, succs in src.succ.items():
+            for role, succs in node.succ.items():
                 for s in succs:
-                    if self.nodes[s].alive:
-                        roles.setdefault(role, set()).add((k, index[s]))
+                    roles.setdefault(role, set()).add((k, index[s]))
             for prop in sorted(set(node.pos) | node.req):
                 bucket = node.pos.get(prop, {})
                 if bucket:

@@ -1,7 +1,12 @@
 """Two independent decision procedures must agree on generated inputs."""
 from __future__ import annotations
 
+import sys
+
 from _harness import differential_case
+from conftest import ROOT
+
+from restcheck.checker import check_model
 
 
 def test_engines_agree_on_five_hundred_ontologies():
@@ -16,3 +21,20 @@ def test_engines_agree_on_five_hundred_ontologies():
     # both verdicts must actually occur, or the comparison proves nothing
     assert sat_total > 100
     assert unsat_total > 20
+
+
+def test_tableau_and_oracle_agree_on_bench_families():
+    # the benchmark's crosscheck models are small enough for the bounded
+    # search to decide every concept, and their verdicts are known by
+    # construction; bench/ is only read
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        import gen
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    for seed in (1, 2):
+        for case in gen.cases("crosscheck", seed, rounds=10):
+            out = check_model(case.text, case.name, oracle_bound=gen.CROSSCHECK_BOUND)
+            assert out.exit_code == case.exit_code, (case.name, out.disagreements)
+            got = tuple((c.kind, c.element, c.satisfiable) for c in out.report.concepts)
+            assert got == case.expected, case.name

@@ -169,6 +169,20 @@ def test_failed_branch_leaves_no_nodes_behind():
     assert res.witness.classes["C"] == frozenset({0})
 
 
+def test_blocked_node_copies_its_blocker():
+    # the root holds Q, A, B, some r.B and the domain D; its r-successor holds
+    # only B, a subset, so it is blocked and borrows the root's r-edge.  That
+    # edge needs its source in D, which only the blocker's label has
+    ont = _ontology(SubClassOf(Named("Q"), Intersection((Named("A"), Named("B")))),
+                    SubClassOf(Named("A"), Some("r", Named("B"))),
+                    ObjectPropertyDomain("r", Named("D")),
+                    classes=("Q", "A", "B", "D"))
+    res = is_satisfiable(compile_tbox(ont), "Q")
+    assert res.sat
+    assert res.witness is not None and res.witness.size == 2
+    assert check_witness(ont, "Q", res.witness) == []
+
+
 def test_verdicts_ignore_axiom_order():
     for seed in range(25):
         rng = random.Random(seed)
