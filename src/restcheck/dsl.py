@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 
 from .diagnostics import ParseError, ResolveError, SourceSpan
-from .lexer import Tok, TokenCursor, tokenize, unquote
+from .lexer import Tok, TokenCursor, quote, tokenize, unquote
 from .model import (Association, AttributeDef, BehavioralModel, DataType,
                     ResourceDef, ResourceKind, ResourceModel, State, StateKind,
                     Transition, Trigger)
@@ -345,9 +345,8 @@ def format_model(rm: ResourceModel, bm: BehavioralModel | None = None) -> str:
                 if s.region:
                     head += f" region {s.region}"
             if s.invariant is not None:
-                inv = format_ocl(s.invariant).replace("\\", "\\\\").replace('"', '\\"')
                 out.append(head + " {")
-                out.append(f'    inv: "{inv}"')
+                out.append(f"    inv: {quote(format_ocl(s.invariant))}")
                 out.append("  }")
             else:
                 out.append(head)
@@ -356,13 +355,9 @@ def format_model(rm: ResourceModel, bm: BehavioralModel | None = None) -> str:
             if t.target_resource is not None:
                 line += f" {t.target_resource}"
             if t.guard:
-                line += f' guard "{_escape(t.guard)}"'
+                line += f" guard {quote(t.guard)}"
             if t.post:
-                line += f' post "{_escape(t.post)}"'
+                line += f" post {quote(t.post)}"
             out.append(line)
         out.append("}")
     return "\n".join(out) + "\n"
-
-
-def _escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"')

@@ -58,6 +58,11 @@ def unquote(text: str) -> str:
     return _ESCAPE_RE.sub(r"\1", text[1:-1])
 
 
+def quote(text: str) -> str:
+    """A double-quoted token whose body is text; the inverse of `unquote`."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 class TokenCursor:
     """Position in a token list, for recursive-descent parsers."""
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .diagnostics import SourceSpan
-from .lexer import Tok, TokenCursor, tokenize, unquote
+from .lexer import Tok, TokenCursor, quote, tokenize, unquote
 from .model import AttributeDef, Association, DataType
 
 if TYPE_CHECKING:
@@ -39,8 +39,7 @@ class OclLiteral:
         if self.datatype is DataType.BOOLEAN:
             return "True" if self.lexical == "true" else "False"
         if self.datatype is DataType.STRING:
-            escaped = self.lexical.replace("\\", "\\\\").replace('"', '\\"')
-            return f'"{escaped}"'
+            return quote(self.lexical)
         return self.lexical
 
 
@@ -122,7 +121,7 @@ class _Parser(TokenCursor):
         flat: list[OclExpr] = []
         for a in args:
             flat.extend(a.args) if isinstance(a, OclOr) else flat.append(a)
-        return OclOr(tuple(flat), span=_span_of(args[0]))
+        return OclOr(tuple(flat), span=args[0].span)
 
     def term(self) -> OclExpr:
         first = self.prim()
@@ -135,7 +134,7 @@ class _Parser(TokenCursor):
         flat: list[OclExpr] = []
         for a in args:
             flat.extend(a.args) if isinstance(a, OclAnd) else flat.append(a)
-        return OclAnd(tuple(flat), span=_span_of(args[0]))
+        return OclAnd(tuple(flat), span=args[0].span)
 
     def prim(self) -> OclExpr:
         if self.peek().text == "(":
@@ -218,10 +217,6 @@ class _Parser(TokenCursor):
             return OclLiteral(DataType.STRING, unquote(tok.text)), tok
         self.fail("a literal")
         raise AssertionError("unreachable")
-
-
-def _span_of(e: OclExpr) -> SourceSpan | None:
-    return e.span
 
 
 def parse_ocl(text: str, origin: SourceSpan | None = None) -> OclExpr:

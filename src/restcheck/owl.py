@@ -16,7 +16,7 @@ from decimal import Decimal, InvalidOperation
 from typing import Iterator
 
 from .diagnostics import ParseError
-from .lexer import Tok, TokenCursor, tokenize, unquote
+from .lexer import Tok, TokenCursor, quote, tokenize, unquote
 from .model import DataType
 
 XSD_PREFIX = "http://www.w3.org/2001/XMLSchema#"
@@ -225,12 +225,8 @@ class Ontology:
 # --- serialization -----------------------------------------------------------
 
 
-def _escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"')
-
-
 def _lit(value: OwlLiteral) -> str:
-    return f'"{_escape(value.lexical)}"^^xsd:{value.datatype.value}'
+    return f"{quote(value.lexical)}^^xsd:{value.datatype.value}"
 
 
 def _expr(e: ClassExpr) -> str:
@@ -257,7 +253,8 @@ def _expr(e: ClassExpr) -> str:
     raise TypeError(f"not a class expression: {e!r}")
 
 
-def _axiom(ax: Axiom) -> str:
+def format_axiom(ax: Axiom) -> str:
+    """One axiom in functional syntax, without surrounding document."""
     if isinstance(ax, Declaration):
         return f"Declaration({ax.entity.value}(:{ax.name}))"
     if isinstance(ax, SubClassOf):
@@ -277,11 +274,6 @@ def _axiom(ax: Axiom) -> str:
     raise TypeError(f"not an axiom: {ax!r}")
 
 
-def format_axiom(ax: Axiom) -> str:
-    """One axiom in functional syntax, without surrounding document."""
-    return _axiom(ax)
-
-
 def serialize(ontology: Ontology) -> str:
     """Canonical functional-syntax text: fixed prefixes, one axiom per line."""
     lines = [
@@ -289,7 +281,7 @@ def serialize(ontology: Ontology) -> str:
         f"Prefix(xsd:=<{XSD_PREFIX}>)",
         f"Ontology(<{ontology.base_iri.rstrip('#/')}>",
     ]
-    lines.extend(_axiom(ax) for ax in ontology.axioms)
+    lines.extend(format_axiom(ax) for ax in ontology.axioms)
     lines.append(")")
     return "\n".join(lines) + "\n"
 

@@ -15,10 +15,16 @@ its state, are internalized as disjunctions that must hold at every node.
 Domain and range axioms are applied lazily when edges appear, which avoids
 useless universal branching.
 
+Number restrictions are unqualified, so the successors an at-least bound asks
+for beyond the existential ones would all get the same label.  One node with
+a count stands for them, and the witness unfolds it into that many elements.
+A merge is needed only when the existential successors alone exceed an
+at-most bound, so the merge choice is always between two of them.
+
 The search is one loop.  The rules at node n change only n and its
 successors, and successors are created after n, so the engine keeps a cursor:
 every node before it is finished and stays unchanged on every branch.  A
-choice (which disjunct of a union, which pair of successors to merge) pushes
+choice (which disjunct of a union, which two successors to merge) pushes
 the cursor, copies of the nodes from the cursor on, and the untried
 alternatives onto a stack.  A clash pops the next alternative and puts the
 saved nodes back, which also drops any node the failed branch created.
@@ -255,32 +261,29 @@ def compile_tbox(ontology: owl.Ontology) -> TBox:
 
 
 class _Node:
-    __slots__ = ("labels", "queue", "parent", "alive", "blocker", "todo_roles",
-                 "succ", "distinct", "pos", "neg", "req", "novalue")
+    __slots__ = ("labels", "queue", "parent", "count", "blocker", "done",
+                 "succ", "pos", "neg", "req", "novalue")
 
-    def __init__(self, parent: int | None):
+    def __init__(self, parent: int | None, count: int = 1):
         self.labels: dict = {}
         self.queue: list = []
         self.parent = parent
-        self.alive = True
+        self.count = count  # how many identical successors the node stands for
         self.blocker: int | None = None
-        self.todo_roles: list[str] | None = None
+        self.done = False
         self.succ: dict[str, list[int]] = {}
-        self.distinct: dict[str, list[int]] = {}
         self.pos: dict[str, dict] = {}
         self.neg: dict[str, set] = {}
         self.req: set[str] = set()
         self.novalue: set[str] = set()
 
     def copy(self) -> "_Node":
-        n = _Node(self.parent)
+        n = _Node(self.parent, self.count)
         n.labels = dict(self.labels)
         n.queue = list(self.queue)
-        n.alive = self.alive
         n.blocker = self.blocker
-        n.todo_roles = None if self.todo_roles is None else list(self.todo_roles)
+        n.done = self.done
         n.succ = {k: list(v) for k, v in self.succ.items()}
-        n.distinct = {k: list(v) for k, v in self.distinct.items()}
         n.pos = {k: dict(v) for k, v in self.pos.items()}
         n.neg = {k: set(v) for k, v in self.neg.items()}
         n.req = set(self.req)
@@ -422,10 +425,10 @@ class _Engine:
 
     # -- search
 
-    def new_node(self, parent: int | None) -> int:
+    def new_node(self, parent: int | None, count: int = 1) -> int:
         if len(self.nodes) >= MAX_NODES:
             raise ReasonerLimitError("completion graph grew past the node limit")
-        self.nodes.append(_Node(parent))
+        self.nodes.append(_Node(parent, count))
         return len(self.nodes) - 1
 
     def solve(self) -> bool:
@@ -462,7 +465,7 @@ class _Engine:
             self.steps += 1
             if self.steps > MAX_STEPS:
                 raise ReasonerLimitError("search exceeded the step limit")
-            while self.cursor < len(self.nodes) and self._finished(self.nodes[self.cursor]):
+            while self.cursor < len(self.nodes) and self.nodes[self.cursor].done:
                 self.cursor += 1
             if self.cursor == len(self.nodes):
                 return None
@@ -475,107 +478,77 @@ class _Engine:
             elif (alts := self._generate(nid)) is not None:
                 return alts
 
-    @staticmethod
-    def _finished(node: _Node) -> bool:
-        return not node.alive or (not node.queue and node.todo_roles == [])
-
     def _generate(self, nid: int):
-        """One micro-step of successor construction; None means progress,
-        otherwise as for _step."""
+        """Successor construction at a node whose label is complete; None
+        means progress, otherwise as for _step."""
         node = self.nodes[nid]
-        if node.todo_roles is None:
-            blocker = self._blocked_by(nid)
-            if blocker is not None:
-                node.blocker = blocker
-                node.todo_roles = []
-                return None
-            wanted: list[str] = []
-            for c in node.labels:
-                if isinstance(c, (Some, MinCard)) and c.prop not in wanted:
-                    wanted.append(c.prop)
-            node.todo_roles = wanted
-            return None
-        role = node.todo_roles[0]
-        if role not in node.succ:
-            return self._create_successors(nid, role)
-        cap = self._cap(node, role)
-        succs = node.succ[role]  # _merge takes the nodes it kills out of succ
-        if cap is not None and len(succs) > cap:
-            group = set(node.distinct.get(role, ()))
-            pairs = []
-            for i, a in enumerate(succs):
-                for b in succs[i + 1:]:
-                    if a in group and b in group:
-                        continue
-                    pairs.append((a, b))
-            if not pairs:
+        if not node.succ:
+            # the first visit: the node is blocked, or it gets every successor
+            node.blocker = self._blocked_by(nid)
+            if node.blocker is None and not self._create_successors(nid):
                 return []
-            # newest pair first; survivors keep any distinctness marking
-            pairs.sort(key=lambda p: (max(p), min(p)), reverse=True)
-            return [partial(self._merge, nid, role, *self._orient(role, node, a, b))
-                    for a, b in pairs]
-        return self._finalize_role(nid, role)
-
-    def _orient(self, role: str, node: _Node, a: int, b: int) -> tuple[int, int]:
-        group = set(node.distinct.get(role, ()))
-        if b in group:
-            return (b, a)
-        if a in group:
-            return (a, b)
-        return (min(a, b), max(a, b))
+        for role, succs in node.succ.items():
+            cap = self._cap(node, role)
+            if cap is not None and len(succs) > cap:
+                # more fillers than the cap allows, which is at least the
+                # at-least bound, so there is no counted node: merge two
+                # existential successors, newest pair first, the older surviving
+                pairs = [(a, b) for i, a in enumerate(succs) for b in succs[i + 1:]]
+                pairs.sort(key=lambda p: (p[1], p[0]), reverse=True)
+                return [partial(self._merge, nid, role, a, b) for a, b in pairs]
+        node.done = True
+        return None
 
     def _cap(self, node: _Node, role: str):
         caps = [c.n for c in node.labels if isinstance(c, MaxCard) and c.prop == role]
         return min(caps) if caps else None
 
-    def _create_successors(self, nid: int, role: str):
-        node = self.nodes[nid]
-        fillers = []
-        need = 0
-        for c in node.labels:
-            if isinstance(c, Some) and c.prop == role and c.filler not in fillers:
-                fillers.append(c.filler)
-            elif isinstance(c, MinCard) and c.prop == role:
-                need = max(need, c.n)
-        created: list[int] = []
-        for f in fillers:
-            child = self.new_node(nid)
-            created.append(child)
-            if not self.add(child, f):
-                return []
-        group: list[int] = []
-        for _ in range(need):
-            child = self.new_node(nid)
-            created.append(child)
-            group.append(child)
-        node.succ[role] = created
-        if group:
-            node.distinct[role] = group
-        return None
+    def _create_successors(self, nid: int) -> bool:
+        """Give the node its successors for every role; False on a clash.
 
-    def _finalize_role(self, nid: int, role: str):
+        Each distinct existential filler gets one successor.  When the
+        largest at-least bound n exceeds the number k of fillers, one more
+        node with count n - k stands for the other successors: the bounds
+        are unqualified, so those would all get the same label.  Every new
+        node receives its filler, the universal fillers, the range and the
+        global axioms at once.
+        """
         node = self.nodes[nid]
-        props = [c.filler for c in node.labels
-                 if isinstance(c, _All) and c.prop == role]
-        props.extend(self.tbox.obj_range.get(role, ()))
-        for s in node.succ[role]:
-            for c in props:
-                if not self.add(s, c):
-                    return []
-            for c in self.tbox.axioms_nnf:
-                if not self.add(s, c):
-                    return []
-        node.todo_roles.pop(0)
-        return None
+        fillers: dict[str, list] = {}
+        need: dict[str, int] = {}
+        alls: dict[str, list] = {}
+        for c in node.labels:
+            if isinstance(c, Some):
+                fs = fillers.setdefault(c.prop, [])
+                if c.filler not in fs:
+                    fs.append(c.filler)
+            elif isinstance(c, MinCard):
+                fillers.setdefault(c.prop, [])
+                need[c.prop] = max(need.get(c.prop, 0), c.n)
+            elif isinstance(c, _All):
+                alls.setdefault(c.prop, []).append(c.filler)
+        for role, fs in fillers.items():
+            common = (*alls.get(role, ()), *self.tbox.obj_range.get(role, ()),
+                      *self.tbox.axioms_nnf)
+            kids = [(1, (f, *common)) for f in fs]
+            if need.get(role, 0) > len(fs):
+                kids.append((need[role] - len(fs), common))
+            node.succ[role] = []
+            for count, concepts in kids:
+                child = self.new_node(nid, count)
+                node.succ[role].append(child)
+                if not all(self.add(child, c) for c in concepts):
+                    return False
+        return True
 
     def _merge(self, nid: int, role: str, keep: int, drop: int) -> bool:
         # successors are merged before they are expanded, so the victim's
-        # whole state is reachable from its label set
+        # whole state is reachable from its label set; marked done, it is
+        # skipped by the search and unreachable from the root
         node = self.nodes[nid]
-        victim = self.nodes[drop]
-        victim.alive = False
+        self.nodes[drop].done = True
         node.succ[role] = [s for s in node.succ[role] if s != drop]
-        return all(self.add(keep, c) for c in victim.labels)
+        return all(self.add(keep, c) for c in self.nodes[drop].labels)
 
     def _blocked_by(self, nid: int):
         mine = frozenset(self.nodes[nid].labels)
@@ -589,28 +562,30 @@ class _Engine:
     # -- witness extraction
 
     def extract_witness(self) -> Witness:
-        ids = [i for i, n in enumerate(self.nodes) if n.alive]
-        index = {node_id: k for k, node_id in enumerate(ids)}
+        """Unfold the graph from the root into a structure.
+
+        A node with count c becomes c elements, each with its own copy of
+        the node's subtree.  The walk stops where the structure would pass
+        MAX_NODES elements, and the cut-off structure is marked not faithful.
+        """
+        of = [0]                                # element -> its node
+        first: dict[int, int] = {}              # node -> its first element
+        out: list[list[tuple[str, int]]] = []   # element -> (role, successor)
         classes: dict[str, set[int]] = {}
-        roles: dict[str, set[tuple[int, int]]] = {}
         values: dict[str, dict[int, owl.OwlLiteral]] = {}
         faithful = True
-        for node_id in ids:
+        for k, nid in enumerate(of):  # `of` grows as the walk goes
+            first.setdefault(nid, k)
             # a blocked node never expanded, so it stands for a copy of its
             # blocker: the blocker's classes, values and successors.  That is
             # legal because its label is a subset of the blocker's, and needed
             # because the successors it borrows may ask for classes (domains,
             # unfolded axioms) that only the blocker's label holds
-            node = self.nodes[node_id]
-            if node.blocker is not None:
-                node = self.nodes[node.blocker]
-            k = index[node_id]
+            blocker = self.nodes[nid].blocker
+            node = self.nodes[nid if blocker is None else blocker]
             for c in node.labels:
                 if isinstance(c, Named):
                     classes.setdefault(c.name, set()).add(k)
-            for role, succs in node.succ.items():
-                for s in succs:
-                    roles.setdefault(role, set()).add((k, index[s]))
             for prop in sorted(set(node.pos) | node.req):
                 bucket = node.pos.get(prop, {})
                 if bucket:
@@ -621,7 +596,23 @@ class _Engine:
                         faithful = False
                     else:
                         values.setdefault(prop, {})[k] = lit
-        return Witness(len(ids),
+            if blocker is not None:
+                out.append(out[first[blocker]])
+                continue
+            kids = [(role, s) for role, succs in node.succ.items() for s in succs]
+            if len(of) + sum(self.nodes[s].count for _, s in kids) > MAX_NODES:
+                faithful = False
+                break
+            out.append([])
+            for role, s in kids:
+                for _ in range(self.nodes[s].count):
+                    out[k].append((role, len(of)))
+                    of.append(s)
+        roles: dict[str, set[tuple[int, int]]] = {}
+        for k, edges in enumerate(out):
+            for role, s in edges:
+                roles.setdefault(role, set()).add((k, s))
+        return Witness(len(of),
                        {c: frozenset(v) for c, v in classes.items()},
                        {r: frozenset(v) for r, v in roles.items()},
                        values, faithful)

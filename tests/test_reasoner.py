@@ -183,6 +183,29 @@ def test_blocked_node_copies_its_blocker():
     assert check_witness(ont, "Q", res.witness) == []
 
 
+def test_at_least_bound_becomes_one_counted_successor():
+    # the root needs three r-successors, one of them in B: the B-successor
+    # and a node counted twice.  Each of the three is in C and needs two
+    # s-successors of its own: 1 + 3 + 3 * 2 elements
+    ont = _ontology(SubClassOf(Named("A"), Intersection((MinCard(3, "r"),
+                                                         Some("r", Named("B"))))),
+                    ObjectPropertyRange("r", Named("C")),
+                    SubClassOf(Named("C"), MinCard(2, "s")),
+                    classes=("A", "B", "C"), roles=("r", "s"))
+    res = is_satisfiable(compile_tbox(ont), "A")
+    assert res.sat
+    assert res.witness is not None and res.witness.faithful
+    assert res.witness.size == 10
+    assert check_witness(ont, "A", res.witness) == []
+
+
+def test_count_above_the_node_limit_is_cut_off():
+    ont = _ontology(SubClassOf(Named("A"), MinCard(6000, "r")))
+    res = is_satisfiable(compile_tbox(ont), "A")
+    assert res.sat
+    assert res.witness is not None and not res.witness.faithful
+
+
 def test_verdicts_ignore_axiom_order():
     for seed in range(25):
         rng = random.Random(seed)

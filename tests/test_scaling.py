@@ -1,6 +1,11 @@
 """The tableau on models larger than the corpus: a 16-resource tree with 8
-states, and a clash two associations below the root."""
+states, a clash two associations below the root, and a size bound far above
+the node limit."""
 from __future__ import annotations
+
+import time
+
+from conftest import run_cli
 
 from restcheck.checker import check_model
 
@@ -128,3 +133,50 @@ def test_two_hop_size_bound_clashes_with_multiplicity():
     assert out.exit_code == 1
     unsat = [(c.kind, c.element) for c in out.report.concepts if not c.satisfiable]
     assert unsat == [("state", "packed")]
+
+
+# One root whose only state asks for 6000 successors along an unbounded
+# association.  The tableau stands for them with one counted node, so the
+# graph stays small however large the bound.
+MANY = """\
+resources Big {
+  root resource R { attr name: string }
+  resource C { attr v: integer }
+  association c: R -> C [0..*]
+}
+
+behavior Life for R {
+  initial start
+  state many { inv: "self.c->size() >= 6000" }
+  transition start -> many on POST R
+}
+"""
+
+
+def test_size_bound_above_the_node_limit_is_satisfiable(tmp_path):
+    for bound in ("6000", "1000000"):
+        path = tmp_path / f"many{bound}.model"
+        path.write_text(MANY.replace("6000", bound))
+        start = time.perf_counter()
+        proc = run_cli("check", str(path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "CONSISTENT: 2 resources, 1 states, all satisfiable"
+        assert "Traceback" not in proc.stderr
+        assert time.perf_counter() - start < 5
+
+
+def test_cut_off_witness_is_not_held_against_the_search(tmp_path):
+    # the witness of 6000 successors passes the node limit, so it is cut off
+    # and marked not faithful; only a faithful one can contradict the search
+    path = tmp_path / "many.model"
+    path.write_text(MANY)
+    proc = run_cli("check", "--oracle", "bounded:3", str(path))
+    assert proc.returncode == 0, proc.stdout
+    assert proc.stderr == ""
+
+
+def test_size_bound_above_the_multiplicity_clashes():
+    out = check_model(MANY.replace("[0..*]", "[0..3]"), "few.model")
+    assert out.exit_code == 1
+    unsat = [(c.kind, c.element) for c in out.report.concepts if not c.satisfiable]
+    assert unsat == [("state", "many")]
