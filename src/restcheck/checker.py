@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import dsl, oracle, owl, reasoner, translate
-from .diagnostics import (Code, Diagnostic, ParseError, ResolveError, Severity,
-                          error)
+from .diagnostics import (Code, Diagnostic, ParseError, ResolveError, error,
+                          has_errors)
 from .model import (BehavioralModel, ResourceModel, validate_behavioral_model,
                     validate_resource_model)
 from .report import CheckReport, ConceptVerdict, build_report
@@ -43,10 +43,6 @@ def _parse(text: str, file_name: str
     except ResolveError as exc:
         return None, None, exc.to_diagnostics()
     return rm, bm, []
-
-
-def _has_errors(diagnostics: list[Diagnostic]) -> bool:
-    return any(d.severity is Severity.ERROR for d in diagnostics)
 
 
 def _front(text: str, file_name: str, base_iri: str
@@ -103,9 +99,9 @@ def check_model(text: str, file_name: str = "<input>", *,
                     f"'{entry.name}': tableau reports unsatisfiable but a "
                     f"structure of size {checked.model.size} satisfies it")
             elif result.sat and checked.status is oracle.OracleStatus.NO_MODEL_UP_TO_BOUND:
-                # a tableau witness obtained by redirecting blocked edges can
-                # break the distinctness needed by min-cardinalities, so it
-                # only counts against the search when the structure checks out
+                # the search may simply need more elements than the bound, so
+                # only a witness within the bound counts against it; a witness
+                # cut off at the node limit is not faithful and proves nothing
                 w = result.witness
                 if (w is not None and w.faithful and w.size <= oracle_bound
                         and not oracle.check_witness(ontology, fragment, w)):
@@ -133,7 +129,7 @@ def validate_model(text: str, file_name: str = "<input>") -> CheckOutcome:
             diagnostics += validate_behavioral_model(bm, rm)
     name = rm.name if rm is not None else ""
     rep = CheckReport(name,
-                      "invalid" if rm is None or _has_errors(diagnostics)
+                      "invalid" if rm is None or has_errors(diagnostics)
                       else "consistent",
                       (), tuple(diagnostics))
     code = EXIT_INVALID if rep.overall == "invalid" else EXIT_CONSISTENT

@@ -12,7 +12,7 @@ import re
 import sys
 
 from . import checker, owl
-from .diagnostics import Severity
+from .diagnostics import errors_first
 from .oracle import ORACLE_MAX_DOMAIN
 from .report import render_json, render_text
 
@@ -95,12 +95,8 @@ def _emit(text: str, output: str | None) -> bool:
 
 
 def _print_diagnostics(diagnostics) -> None:
-    for d in diagnostics:
-        if d.severity is Severity.ERROR:
-            print(d.format(), file=sys.stderr)
-    for d in diagnostics:
-        if d.severity is Severity.WARNING:
-            print(d.format(), file=sys.stderr)
+    for d in errors_first(diagnostics):
+        print(d.format(), file=sys.stderr)
 
 
 def _emit_report(outcome: checker.CheckOutcome, fmt: str,

@@ -65,6 +65,15 @@ def warning(code: Code, message: str, span: SourceSpan | None = None) -> Diagnos
     return Diagnostic(Severity.WARNING, code, message, span)
 
 
+def has_errors(diagnostics) -> bool:
+    return any(d.severity is Severity.ERROR for d in diagnostics)
+
+
+def errors_first(diagnostics) -> list[Diagnostic]:
+    """The errors, then the warnings, each in their original order."""
+    return sorted(diagnostics, key=lambda d: d.severity is not Severity.ERROR)
+
+
 class ParseError(Exception):
     """Syntax error with a file position, formatted as file:line:col: message."""
 

@@ -15,6 +15,17 @@ its state, are internalized as disjunctions that must hold at every node.
 Domain and range axioms are applied lazily when edges appear, which avoids
 useless universal branching.
 
+Literals are compared by value: nnf rewrites each DataHasValue to the one
+spelling of its value that owl.canon_value defines, so equal values are
+equal concepts.  An excluded value is then the complement of that concept in
+the label, and "a value is required" and "no value" are the label entries
+DataExactCard(1, p) and DataExactCard(0, p).  A node keeps only the value it
+holds for each property, which single-valuedness needs.
+
+Only a node whose label asks for successors (an existential or an at-least
+restriction) is ever blocked.  Blocking a leaf saves no work, and in the
+witness it would copy all of its blocker's edges.
+
 Number restrictions are unqualified, so the successors an at-least bound asks
 for beyond the existential ones would all get the same label.  One node with
 a count stands for them, and the witness unfolds it into that many elements.
@@ -40,8 +51,8 @@ from functools import partial
 from . import owl
 from .model import DataType
 from .owl import (Complement, DataExactCard, DataHasValue, ExactCard,
-                  Intersection, MaxCard, MinCard, Named, Some, Union,
-                  UnsupportedAxiomError, canon_value)
+                  Intersection, MaxCard, MinCard, Named, OwlLiteral, Some,
+                  Union, UnsupportedAxiomError, canon_value)
 
 MAX_NODES = 5000
 MAX_STEPS = 500000
@@ -69,14 +80,7 @@ class _All:
     """Universal restriction, only ever produced by negating Some."""
 
     prop: str
-    filler: "owl.ClassExpr | _Top | _Bot | _All | _NoValue"
-
-
-@dataclass(frozen=True)
-class _NoValue:
-    """The node carries no value for this data property."""
-
-    prop: str
+    filler: "owl.ClassExpr | _Top | _Bot | _All"
 
 
 TOP = _Top()
@@ -155,15 +159,16 @@ def nnf(expr, positive: bool = True):
         low = BOT if expr.n == 0 else MaxCard(expr.n - 1, expr.prop)
         return _or([low, MinCard(expr.n + 1, expr.prop)])
     if isinstance(expr, DataHasValue):
-        return expr if positive else Complement(expr)
+        # one spelling per value, so that equal values are equal concepts
+        value = OwlLiteral(canon_value(expr.value)[1], expr.value.datatype)
+        has = DataHasValue(expr.prop, value)
+        return has if positive else Complement(has)
     if isinstance(expr, DataExactCard):
         # data properties are attributes, single-valued everywhere, so the
         # cardinality can only say whether a value exists
-        if expr.n == 0:
-            return _NoValue(expr.prop) if positive else DataExactCard(1, expr.prop)
-        if expr.n == 1:
-            return expr if positive else _NoValue(expr.prop)
-        return BOT if positive else TOP
+        if expr.n > 1:
+            return BOT if positive else TOP
+        return expr if positive else DataExactCard(1 - expr.n, expr.prop)
     raise TypeError(f"not a class expression: {expr!r}")
 
 
@@ -173,8 +178,6 @@ def nnf(expr, positive: bool = True):
 @dataclass(frozen=True)
 class TBox:
     classes: tuple[str, ...]
-    object_props: tuple[str, ...]
-    data_props: tuple[str, ...]
     axioms_nnf: tuple       # concepts every node must satisfy
     unfold: dict            # class name -> concepts every member satisfies
     obj_domain: dict
@@ -192,18 +195,12 @@ def compile_tbox(ontology: owl.Ontology) -> TBox:
     constraints.  Domains and ranges are kept as edge rules.
     """
     classes: list[str] = []
-    object_props: list[str] = []
-    data_props: list[str] = []
     globals_: list = []
     unfold: dict[str, list] = {}
     obj_domain: dict[str, list] = {}
     obj_range: dict[str, list] = {}
     data_domain: dict[str, list] = {}
     data_range: dict[str, set] = {}
-
-    def register(seq: list[str], name: str):
-        if name not in seq:
-            seq.append(name)
 
     def inclusion(sub, sup):
         if isinstance(sub, Named):
@@ -217,10 +214,8 @@ def compile_tbox(ontology: owl.Ontology) -> TBox:
 
     for ax in ontology.axioms:
         if isinstance(ax, owl.Declaration):
-            target = {owl.EntityKind.CLASS: classes,
-                      owl.EntityKind.OBJECT_PROPERTY: object_props,
-                      owl.EntityKind.DATA_PROPERTY: data_props}[ax.entity]
-            register(target, ax.name)
+            if ax.entity is owl.EntityKind.CLASS and ax.name not in classes:
+                classes.append(ax.name)
         elif isinstance(ax, owl.SubClassOf):
             inclusion(ax.sub, ax.sup)
         elif isinstance(ax, owl.EquivalentClasses):
@@ -242,15 +237,8 @@ def compile_tbox(ontology: owl.Ontology) -> TBox:
         else:
             raise UnsupportedAxiomError(f"unsupported axiom {ax!r}")
 
-    for e in ontology.class_exprs():
-        for sub in owl.walk(e):
-            if isinstance(sub, (Some, MinCard, MaxCard, ExactCard)):
-                register(object_props, sub.prop)
-            elif isinstance(sub, (DataHasValue, DataExactCard)):
-                register(data_props, sub.prop)
-
-    return TBox(tuple(classes), tuple(object_props), tuple(data_props),
-                tuple(globals_), {k: tuple(v) for k, v in unfold.items()},
+    return TBox(tuple(classes), tuple(globals_),
+                {k: tuple(v) for k, v in unfold.items()},
                 {k: tuple(v) for k, v in obj_domain.items()},
                 {k: tuple(v) for k, v in obj_range.items()},
                 {k: tuple(v) for k, v in data_domain.items()},
@@ -262,7 +250,7 @@ def compile_tbox(ontology: owl.Ontology) -> TBox:
 
 class _Node:
     __slots__ = ("labels", "queue", "parent", "count", "blocker", "done",
-                 "succ", "pos", "neg", "req", "novalue")
+                 "succ", "held")
 
     def __init__(self, parent: int | None, count: int = 1):
         self.labels: dict = {}
@@ -272,10 +260,7 @@ class _Node:
         self.blocker: int | None = None
         self.done = False
         self.succ: dict[str, list[int]] = {}
-        self.pos: dict[str, dict] = {}
-        self.neg: dict[str, set] = {}
-        self.req: set[str] = set()
-        self.novalue: set[str] = set()
+        self.held: dict[str, OwlLiteral] = {}  # data property -> its value
 
     def copy(self) -> "_Node":
         n = _Node(self.parent, self.count)
@@ -284,10 +269,7 @@ class _Node:
         n.blocker = self.blocker
         n.done = self.done
         n.succ = {k: list(v) for k, v in self.succ.items()}
-        n.pos = {k: dict(v) for k, v in self.pos.items()}
-        n.neg = {k: set(v) for k, v in self.neg.items()}
-        n.req = set(self.req)
-        n.novalue = set(self.novalue)
+        n.held = dict(self.held)
         return n
 
 
@@ -298,7 +280,7 @@ class Witness:
     size: int
     classes: dict[str, frozenset[int]]
     roles: dict[str, frozenset[tuple[int, int]]]
-    values: dict[str, dict[int, owl.OwlLiteral]]
+    values: dict[str, dict[int, OwlLiteral]]
     faithful: bool  # false when the graph could not be folded into a structure
 
 
@@ -337,7 +319,8 @@ class _Engine:
             if isinstance(inner, Named):
                 return inner not in node.labels
             if isinstance(inner, DataHasValue):
-                return self._add_neg_value(nid, inner)
+                return (inner not in node.labels
+                        and not self._boolean_exhausted(node, inner.prop))
             raise TypeError(f"unexpected complement in label: {concept!r}")
         if isinstance(concept, Union):
             if not any(a in node.labels for a in concept.args):
@@ -363,65 +346,35 @@ class _Engine:
         if isinstance(concept, _All):
             return True
         if isinstance(concept, DataHasValue):
-            return self._add_pos_value(nid, concept)
+            # literals are canonical (see nnf), so equal values are equal
+            # concepts and a second value is a clash
+            prop, value = concept.prop, concept.value
+            if (node.held.setdefault(prop, value) != value
+                    or Complement(concept) in node.labels
+                    or DataExactCard(0, prop) in node.labels
+                    or any(dt is not value.datatype
+                           for dt in self.tbox.data_range.get(prop, ()))):
+                return False
+            return self._add_domains(nid, self.tbox.data_domain.get(prop, ()))
         if isinstance(concept, DataExactCard):
-            return self._add_required(nid, concept.prop)
-        if isinstance(concept, _NoValue):
-            node.novalue.add(concept.prop)
-            return not node.pos.get(concept.prop) and concept.prop not in node.req
+            prop = concept.prop
+            if concept.n == 0:
+                return prop not in node.held and DataExactCard(1, prop) not in node.labels
+            return (DataExactCard(0, prop) not in node.labels
+                    and len(self.tbox.data_range.get(prop, ())) < 2
+                    and not self._boolean_exhausted(node, prop)
+                    and self._add_domains(nid, self.tbox.data_domain.get(prop, ())))
         raise TypeError(f"cannot assert {concept!r}")
 
     def _add_domains(self, nid: int, concepts) -> bool:
         return all(self.add(nid, c) for c in concepts)
 
-    def _ranges_of(self, prop: str) -> frozenset:
-        return self.tbox.data_range.get(prop, frozenset())
-
-    def _add_pos_value(self, nid: int, concept: DataHasValue) -> bool:
-        node = self.nodes[nid]
-        prop, value = concept.prop, concept.value
-        key = canon_value(value)
-        ranges = self._ranges_of(prop)
-        if any(dt is not value.datatype for dt in ranges):
-            return False
-        if key in node.neg.get(prop, ()):
-            return False
-        if prop in node.novalue:
-            return False
-        bucket = node.pos.setdefault(prop, {})
-        if bucket and key not in bucket:
-            return False
-        bucket[key] = value
-        return self._add_domains(nid, self.tbox.data_domain.get(prop, ()))
-
-    def _add_neg_value(self, nid: int, inner: DataHasValue) -> bool:
-        node = self.nodes[nid]
-        key = canon_value(inner.value)
-        if key in node.pos.get(inner.prop, {}):
-            return False
-        node.neg.setdefault(inner.prop, set()).add(key)
-        return not self._boolean_exhausted(nid, inner.prop)
-
-    def _add_required(self, nid: int, prop: str) -> bool:
-        node = self.nodes[nid]
-        node.req.add(prop)
-        if prop in node.novalue:
-            return False
-        if len(self._ranges_of(prop)) > 1:
-            return False
-        if self._boolean_exhausted(nid, prop):
-            return False
-        return self._add_domains(nid, self.tbox.data_domain.get(prop, ()))
-
-    def _boolean_exhausted(self, nid: int, prop: str) -> bool:
+    def _boolean_exhausted(self, node: _Node, prop: str) -> bool:
         # a required boolean with both truth values excluded cannot be filled
-        node = self.nodes[nid]
-        if prop not in node.req or node.pos.get(prop):
-            return False
-        if self._ranges_of(prop) != frozenset({DataType.BOOLEAN}):
-            return False
-        excluded = node.neg.get(prop, set())
-        return ("boolean", "true") in excluded and ("boolean", "false") in excluded
+        return (self.tbox.data_range.get(prop) == {DataType.BOOLEAN}
+                and DataExactCard(1, prop) in node.labels
+                and all(Complement(DataHasValue(prop, OwlLiteral(b, DataType.BOOLEAN)))
+                        in node.labels for b in ("true", "false")))
 
     # -- search
 
@@ -482,8 +435,9 @@ class _Engine:
         """Successor construction at a node whose label is complete; None
         means progress, otherwise as for _step."""
         node = self.nodes[nid]
-        if not node.succ:
-            # the first visit: the node is blocked, or it gets every successor
+        if not node.succ and any(isinstance(c, (Some, MinCard)) for c in node.labels):
+            # the first visit of a node that needs successors: it is blocked,
+            # or it gets every successor.  Leaves are never blocked
             node.blocker = self._blocked_by(nid)
             if node.blocker is None and not self._create_successors(nid):
                 return []
@@ -551,10 +505,10 @@ class _Engine:
         return all(self.add(keep, c) for c in self.nodes[drop].labels)
 
     def _blocked_by(self, nid: int):
-        mine = frozenset(self.nodes[nid].labels)
+        mine = self.nodes[nid].labels.keys()
         anc = self.nodes[nid].parent
         while anc is not None:
-            if mine <= frozenset(self.nodes[anc].labels):
+            if mine <= self.nodes[anc].labels.keys():
                 return anc
             anc = self.nodes[anc].parent
         return None
@@ -572,7 +526,7 @@ class _Engine:
         first: dict[int, int] = {}              # node -> its first element
         out: list[list[tuple[str, int]]] = []   # element -> (role, successor)
         classes: dict[str, set[int]] = {}
-        values: dict[str, dict[int, owl.OwlLiteral]] = {}
+        values: dict[str, dict[int, OwlLiteral]] = {}
         faithful = True
         for k, nid in enumerate(of):  # `of` grows as the walk goes
             first.setdefault(nid, k)
@@ -586,16 +540,14 @@ class _Engine:
             for c in node.labels:
                 if isinstance(c, Named):
                     classes.setdefault(c.name, set()).add(k)
-            for prop in sorted(set(node.pos) | node.req):
-                bucket = node.pos.get(prop, {})
-                if bucket:
-                    values.setdefault(prop, {})[k] = next(iter(bucket.values()))
-                elif prop in node.req:
-                    lit = self._pick_value(node, prop)
+                elif isinstance(c, DataExactCard) and c.n == 1 and c.prop not in node.held:
+                    lit = self._pick_value(node, c.prop)
                     if lit is None:
                         faithful = False
                     else:
-                        values.setdefault(prop, {})[k] = lit
+                        values.setdefault(c.prop, {})[k] = lit
+            for prop, lit in node.held.items():
+                values.setdefault(prop, {})[k] = lit
             if blocker is not None:
                 out.append(out[first[blocker]])
                 continue
@@ -618,9 +570,12 @@ class _Engine:
                        values, faithful)
 
     def _pick_value(self, node: _Node, prop: str):
-        ranges = self._ranges_of(prop)
+        """A value for a required property that no label concept fixes: the
+        first canonical literal of its range that the label does not exclude."""
+        ranges = self.tbox.data_range.get(prop, frozenset())
         dt = next(iter(ranges)) if len(ranges) == 1 else DataType.STRING
-        excluded = node.neg.get(prop, set())
+        excluded = {c.arg.value for c in node.labels if isinstance(c, Complement)
+                    and isinstance(c.arg, DataHasValue) and c.arg.prop == prop}
         if dt is DataType.BOOLEAN:
             candidates = ["true", "false"]
         elif dt in (DataType.INTEGER, DataType.DECIMAL):
@@ -628,8 +583,8 @@ class _Engine:
         else:
             candidates = [f"v{i}" for i in range(len(excluded) + 1)]
         for lex in candidates:
-            lit = owl.OwlLiteral(lex, dt)
-            if canon_value(lit) not in excluded:
+            lit = OwlLiteral(lex, dt)
+            if lit not in excluded:
                 return lit
         return None
 

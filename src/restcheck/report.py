@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .diagnostics import Diagnostic, Severity, SourceSpan
+from .diagnostics import Diagnostic, SourceSpan, errors_first
 
 SCHEMA_VERSION = 1
 
@@ -100,9 +100,7 @@ def render_text(report: CheckReport) -> str:
                      f"concepts unsatisfiable")
     else:
         lines.append("INVALID: input could not be checked")
-    ordered = ([d for d in report.diagnostics if d.severity is Severity.ERROR]
-               + [d for d in report.diagnostics if d.severity is Severity.WARNING])
-    lines.extend(d.format() for d in ordered)
+    lines.extend(d.format() for d in errors_first(report.diagnostics))
     return "\n".join(lines) + "\n"
 
 

@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass, field
 
 from . import owl
-from .diagnostics import Code, Diagnostic, Severity, SourceSpan, error
+from .diagnostics import Code, Diagnostic, SourceSpan, error, has_errors
 from .model import (Association, BehavioralModel, ResourceKind, ResourceModel,
                     State, StateKind, validate_behavioral_model,
                     validate_resource_model)
@@ -293,7 +293,7 @@ def translate_models(rm: ResourceModel, bm: BehavioralModel | None,
     diagnostics = validate_resource_model(rm)
     if bm is not None:
         diagnostics += validate_behavioral_model(bm, rm)
-    if any(d.severity is Severity.ERROR for d in diagnostics):
+    if has_errors(diagnostics):
         raise InvalidModelError(diagnostics)
     ontology, iris = translate_resource_model(rm, base_iri)
     if bm is not None:

@@ -7,9 +7,9 @@ import time
 import _generators
 
 from restcheck.owl import (DEFAULT_BASE_IRI, Complement, DataExactCard,
-                           DataHasValue, Declaration, DisjointClasses,
-                           EntityKind, EquivalentClasses, ExactCard,
-                           Intersection, MaxCard, MinCard, Named,
+                           DataHasValue, DataPropertyRange, Declaration,
+                           DisjointClasses, EntityKind, EquivalentClasses,
+                           ExactCard, Intersection, MaxCard, MinCard, Named,
                            ObjectPropertyDomain, ObjectPropertyRange, Ontology,
                            OwlLiteral, Some, SubClassOf, Union)
 from restcheck.model import DataType
@@ -71,6 +71,18 @@ def test_single_valued_data_property_clash():
                     SubClassOf(Named("A"), DataHasValue("p", seven2)),
                     data=("p",))
     assert _sat(ont, "A")
+    # nor is a value excluded under another spelling
+    ont = _ontology(data=("p",))
+    assert not _sat(ont, Intersection((
+        DataHasValue("p", OwlLiteral("01", DataType.INTEGER)),
+        Complement(DataHasValue("p", OwlLiteral("1", DataType.INTEGER))))))
+    # a required boolean with both truth values excluded has no value left;
+    # without the range a string fills it
+    neither = Intersection((DataExactCard(1, "p"), Complement(DataHasValue("p", t)),
+                            Complement(DataHasValue("p", f))))
+    assert _sat(ont, neither)
+    ont = _ontology(DataPropertyRange("p", DataType.BOOLEAN), data=("p",))
+    assert not _sat(ont, neither)
 
 
 def test_data_cardinality_degenerates():
@@ -171,8 +183,7 @@ def test_failed_branch_leaves_no_nodes_behind():
 
 def test_blocked_node_copies_its_blocker():
     # the root holds Q, A, B, some r.B and the domain D; its r-successor holds
-    # only B, a subset, so it is blocked and borrows the root's r-edge.  That
-    # edge needs its source in D, which only the blocker's label has
+    # only B and needs no successor, so it stays a leaf
     ont = _ontology(SubClassOf(Named("Q"), Intersection((Named("A"), Named("B")))),
                     SubClassOf(Named("A"), Some("r", Named("B"))),
                     ObjectPropertyDomain("r", Named("D")),
@@ -181,6 +192,34 @@ def test_blocked_node_copies_its_blocker():
     assert res.sat
     assert res.witness is not None and res.witness.size == 2
     assert check_witness(ont, "Q", res.witness) == []
+    # here the r-successor holds B and some r.B, a subset of the root's
+    # label, so it is blocked and borrows the root's r- and s-edges.  The
+    # s-edge needs its source in D, which only the blocker's label has
+    ont = _ontology(SubClassOf(Named("Q"), Intersection((Named("A"), Named("B")))),
+                    SubClassOf(Named("A"), Some("s", Named("C"))),
+                    SubClassOf(Named("B"), Some("r", Named("B"))),
+                    ObjectPropertyDomain("s", Named("D")),
+                    classes=("Q", "A", "B", "C", "D"), roles=("r", "s"))
+    res = is_satisfiable(compile_tbox(ont), "Q")
+    assert res.sat
+    assert res.witness is not None and res.witness.size == 3
+    assert len(res.witness.roles["s"]) == 2
+    assert check_witness(ont, "Q", res.witness) == []
+
+
+def test_leaf_is_not_blocked():
+    # the 2000 successors need no successors of their own; blocked by the
+    # root, each would copy the root's 2000 edges
+    ont = _ontology(SubClassOf(Named("A"), MinCard(2000, "r")))
+    start = time.perf_counter()
+    res = is_satisfiable(compile_tbox(ont), "A")
+    elapsed = time.perf_counter() - start
+    assert res.sat
+    assert res.witness is not None and res.witness.faithful
+    assert res.witness.size == 2001
+    assert len(res.witness.roles["r"]) == 2000
+    assert elapsed < 0.5
+    assert check_witness(ont, "A", res.witness) == []
 
 
 def test_at_least_bound_becomes_one_counted_successor():
