@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from .diagnostics import Code, Diagnostic, SourceSpan, error
 
@@ -219,6 +219,10 @@ def validate_resource_model(rm: ResourceModel) -> list[Diagnostic]:
             diags.append(error(Code.UNRESOLVED_PATH,
                                f"resource '{r.name}' extends unknown resource '{r.parent}'",
                                r.span))
+        elif _parent_cycle(by_name, r):
+            # a generalization hierarchy must be acyclic
+            diags.append(error(Code.CONNECTIVITY,
+                               f"inheritance cycle involving '{r.name}'", r.span))
         seen_attrs: set[str] = set()
         for att in r.attributes:
             if att.name in seen_attrs:
@@ -281,10 +285,12 @@ def validate_resource_model(rm: ResourceModel) -> list[Diagnostic]:
     return diags
 
 
-def _containment_cycle(states: Iterable[State], start: State) -> bool:
+def _parent_cycle(lookup: dict[str, ResourceDef] | dict[str, State],
+                  start: ResourceDef | State) -> bool:
+    """Whether following parents from start, by name in lookup, runs into a
+    cycle: start is on one or leads into one."""
     seen = set()
-    cur: State | None = start
-    lookup = {s.name: s for s in states}
+    cur = start
     while cur is not None and cur.parent is not None:
         if cur.name in seen:
             return True
@@ -320,7 +326,7 @@ def validate_behavioral_model(bm: BehavioralModel, rm: ResourceModel) -> list[Di
                 diags.append(error(Code.UNRESOLVED_PATH,
                                    f"state '{s.name}' cannot be nested inside pseudostate '{s.parent}'",
                                    s.span))
-            elif _containment_cycle(bm.states, s):
+            elif _parent_cycle(by_name, s):
                 diags.append(error(Code.CONNECTIVITY,
                                    f"state containment cycle involving '{s.name}'", s.span))
 

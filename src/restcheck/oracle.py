@@ -4,8 +4,8 @@ Satisfiability of a class is checked by exhaustive search for a finite
 structure over domains of size 1..k: the ontology is grounded to
 propositional clauses and handed to a small DPLL solver.  Data properties
 are interpreted as partial functions over a finite literal universe (the
-literals written in the ontology plus a fresh one), which matches how the
-translation uses them.
+values written in the ontology, in the spelling owl.canon_value gives them,
+plus a fresh one), which matches how the translation uses them.
 
 Any structure the search returns is re-checked against the axioms by a
 direct evaluator before it is reported, so a positive answer carries its
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from . import owl
 from .model import DataType
 from .owl import (Complement, DataExactCard, DataHasValue, ExactCard,
-                  Intersection, MaxCard, MinCard, Named, OwlLiteral, Some,
-                  Union, canon_value)
+                  FiniteModel, Intersection, MaxCard, MinCard, Named,
+                  OwlLiteral, Some, Union, canon_value)
 
 ORACLE_MAX_DOMAIN = 6
 
@@ -38,16 +38,6 @@ class OracleInternalError(Exception):
 class OracleStatus(enum.Enum):
     SAT = "sat"
     NO_MODEL_UP_TO_BOUND = "no_model_up_to_bound"
-
-
-@dataclass(frozen=True)
-class FiniteModel:
-    """An interpretation over domain {0..size-1}."""
-
-    size: int
-    classes: dict[str, frozenset[int]]
-    roles: dict[str, frozenset[tuple[int, int]]]
-    values: dict[str, dict[int, OwlLiteral]]
 
 
 @dataclass(frozen=True)
@@ -136,11 +126,7 @@ def satisfies(model: FiniteModel, ontology: owl.Ontology) -> bool:
 def check_witness(ontology: owl.Ontology, class_name: str,
                   structure: FiniteModel) -> list[str]:
     """Why the structure is not a model of the ontology with element 0 in the
-    class; empty when it is.
-
-    A tableau witness has the same fields as a FiniteModel and is checked as
-    it is.
-    """
+    class; empty when it is."""
     problems = violations(structure, ontology)
     if not eval_expr(structure, Named(class_name), 0):
         problems.append(f"element 0 is not a member of {class_name}")
@@ -179,7 +165,7 @@ class _Encoder:
         self.cnf = _Cnf()
         self.class_vars: dict[tuple[str, int], int] = {}
         self.role_vars: dict[tuple[str, int, int], int] = {}
-        self.val_vars: dict[tuple[str, int, tuple], int] = {}
+        self.val_vars: dict[tuple[str, int, OwlLiteral], int] = {}
         self.has_vars: dict[tuple[str, int], int] = {}
         self.gates: dict[tuple[owl.ClassExpr, int], int] = {}
         self.universes: dict[str, list[OwlLiteral]] = {}
@@ -224,8 +210,7 @@ class _Encoder:
                 elif isinstance(sub, (DataHasValue, DataExactCard)):
                     register(data_props, sub.prop)
                     if isinstance(sub, DataHasValue):
-                        if all(canon_value(sub.value) != canon_value(x) for x in literals):
-                            literals.append(sub.value)
+                        register(literals, canon_value(sub.value))
 
         if self.extra_class is not None:
             register(classes, self.extra_class)
@@ -266,7 +251,7 @@ class _Encoder:
                 slots = []
                 for lit in universe:
                     v = self.cnf.new_var()
-                    self.val_vars[(p, i, canon_value(lit))] = v
+                    self.val_vars[(p, i, lit)] = v
                     slots.append(v)
                 # at most one value per element
                 for a, b in itertools.combinations(slots, 2):
@@ -415,9 +400,8 @@ class _Encoder:
         for p in self.data_props:
             held: dict[int, OwlLiteral] = {}
             for lit in self.universes[p]:
-                key = canon_value(lit)
                 for i in range(self.size):
-                    if truth(self.val_vars[(p, i, key)]):
+                    if truth(self.val_vars[(p, i, lit)]):
                         held[i] = lit
             if held:
                 values[p] = held
@@ -425,22 +409,23 @@ class _Encoder:
 
 
 def _fresh_literal(dt: DataType, taken: list[OwlLiteral]) -> OwlLiteral | None:
-    keys = {canon_value(x) for x in taken}
+    """A canonical literal of the datatype outside the canonical literals
+    `taken`; None when the datatype has no value left."""
     if dt is DataType.BOOLEAN:
         for lex in ("true", "false"):
-            if ("boolean", lex) not in keys:
+            if OwlLiteral(lex, dt) not in taken:
                 return OwlLiteral(lex, dt)
         return None
     if dt is DataType.INTEGER:
-        ints = [int(k[1]) for k in keys]
+        ints = [int(x.lexical) for x in taken]
         return OwlLiteral(str(max(ints, default=-1) + 1), dt)
     if dt is DataType.DECIMAL:
         n = 0
-        while ("decimal", f"{n}.5") in keys:
+        while OwlLiteral(f"{n}.5", dt) in taken:
             n += 1
         return OwlLiteral(f"{n}.5", dt)
     n = 0
-    while ("string", f"fresh{n}") in keys:
+    while OwlLiteral(f"fresh{n}", dt) in taken:
         n += 1
     return OwlLiteral(f"fresh{n}", dt)
 

@@ -1,5 +1,6 @@
-"""In-memory form of the ontology fragment the checker works with, plus a
-canonical functional-syntax serializer and a parser for the same fragment.
+"""In-memory form of the ontology fragment the checker works with and of the
+finite structures that interpret it, plus a canonical functional-syntax
+serializer and a parser for the same fragment.
 
 Only the constructs the translation emits are representable: named classes,
 boolean combinations, existential restrictions, unqualified object
@@ -48,21 +49,21 @@ def valid_lexical(lexical: str, datatype: DataType) -> bool:
     return _LEXICAL_RE[datatype].match(lexical) is not None
 
 
-def canon_value(lit: OwlLiteral) -> tuple[str, str]:
-    """Canonical comparison key; two literals denote the same value iff equal."""
+def canon_value(lit: OwlLiteral) -> OwlLiteral:
+    """The literal in the canonical spelling of its value; two literals denote
+    the same value iff their canonical literals are equal."""
+    lexical = lit.lexical
     if lit.datatype is DataType.INTEGER:
-        return ("integer", str(int(lit.lexical)))
-    if lit.datatype is DataType.BOOLEAN:
-        return ("boolean", lit.lexical.lower())
-    if lit.datatype is DataType.DECIMAL:
+        lexical = str(int(lexical))
+    elif lit.datatype is DataType.BOOLEAN:
+        lexical = lexical.lower()
+    elif lit.datatype is DataType.DECIMAL:
         try:
-            dec = Decimal(lit.lexical)
+            dec = Decimal(lexical)
         except InvalidOperation:
-            raise ValueError(f"bad decimal literal {lit.lexical!r}")
-        if dec == 0:
-            return ("decimal", "0")
-        return ("decimal", format(dec.normalize(), "f"))
-    return ("string", lit.lexical)
+            raise ValueError(f"bad decimal literal {lexical!r}")
+        lexical = "0" if dec == 0 else format(dec.normalize(), "f")
+    return OwlLiteral(lexical, lit.datatype)
 
 
 # --- class expressions -------------------------------------------------------
@@ -220,6 +221,18 @@ class Ontology:
             elif isinstance(ax, (ObjectPropertyDomain, ObjectPropertyRange,
                                  DataPropertyDomain)):
                 yield ax.expr
+
+
+@dataclass(frozen=True)
+class FiniteModel:
+    """An interpretation over domain {0..size-1}, as the tableau and the
+    bounded search both produce it."""
+
+    size: int
+    classes: dict[str, frozenset[int]]
+    roles: dict[str, frozenset[tuple[int, int]]]
+    values: dict[str, dict[int, OwlLiteral]]
+    faithful: bool = True  # false on a tableau witness that was cut off
 
 
 # --- serialization -----------------------------------------------------------

@@ -160,8 +160,7 @@ def nnf(expr, positive: bool = True):
         return _or([low, MinCard(expr.n + 1, expr.prop)])
     if isinstance(expr, DataHasValue):
         # one spelling per value, so that equal values are equal concepts
-        value = OwlLiteral(canon_value(expr.value)[1], expr.value.datatype)
-        has = DataHasValue(expr.prop, value)
+        has = DataHasValue(expr.prop, canon_value(expr.value))
         return has if positive else Complement(has)
     if isinstance(expr, DataExactCard):
         # data properties are attributes, single-valued everywhere, so the
@@ -273,21 +272,10 @@ class _Node:
         return n
 
 
-@dataclass
-class Witness:
-    """A finite structure extracted from a completed graph."""
-
-    size: int
-    classes: dict[str, frozenset[int]]
-    roles: dict[str, frozenset[tuple[int, int]]]
-    values: dict[str, dict[int, OwlLiteral]]
-    faithful: bool  # false when the graph could not be folded into a structure
-
-
 @dataclass(frozen=True)
 class SatResult:
     sat: bool
-    witness: Witness | None = field(default=None, compare=False)
+    witness: owl.FiniteModel | None = field(default=None, compare=False)
 
 
 class _Engine:
@@ -515,8 +503,9 @@ class _Engine:
 
     # -- witness extraction
 
-    def extract_witness(self) -> Witness:
-        """Unfold the graph from the root into a structure.
+    def extract_witness(self) -> owl.FiniteModel:
+        """Unfold the graph from the root into a structure, of the type the
+        bounded search returns too.
 
         A node with count c becomes c elements, each with its own copy of
         the node's subtree.  The walk stops where the structure would pass
@@ -564,10 +553,10 @@ class _Engine:
         for k, edges in enumerate(out):
             for role, s in edges:
                 roles.setdefault(role, set()).add((k, s))
-        return Witness(len(of),
-                       {c: frozenset(v) for c, v in classes.items()},
-                       {r: frozenset(v) for r, v in roles.items()},
-                       values, faithful)
+        return owl.FiniteModel(len(of),
+                               {c: frozenset(v) for c, v in classes.items()},
+                               {r: frozenset(v) for r, v in roles.items()},
+                               values, faithful)
 
     def _pick_value(self, node: _Node, prop: str):
         """A value for a required property that no label concept fixes: the

@@ -1,4 +1,5 @@
-"""Translation of resource and behavioral models into ontology axioms.
+"""Translation of resource and behavioral models into ontology axioms, in one
+pass over both (translate_models).
 
 Every resource and every proper state becomes a named class; associations
 become object properties with domain, range and cardinality axioms; typed
@@ -106,54 +107,6 @@ class IriMap:
         return self.classes.get(fragment)
 
 
-def translate_resource_model(rm: ResourceModel,
-                             base_iri: str = owl.DEFAULT_BASE_IRI) -> tuple[owl.Ontology, IriMap]:
-    """Build the ontology for a structurally valid resource model."""
-    iris = IriMap()
-    axioms: list[owl.Axiom] = []
-    for r in rm.resources:
-        fragment = iris.add_resource(r)
-        axioms.append(owl.Declaration(owl.EntityKind.CLASS, fragment))
-
-    for r in rm.resources:
-        if r.parent is not None:
-            axioms.append(owl.SubClassOf(
-                owl.Named(iris.class_of_resource(r.name)),
-                owl.Named(iris.class_of_resource(r.parent))))
-
-    # resources sharing a parent (or the top level) are mutually exclusive
-    for group in _sibling_groups(rm):
-        if len(group) > 1:
-            axioms.append(owl.DisjointClasses(
-                tuple(owl.Named(iris.class_of_resource(n)) for n in group)))
-
-    for r in rm.resources:
-        if r.kind is not ResourceKind.NORMAL:
-            continue
-        owner_cls = iris.class_of_resource(r.name)
-        for att in r.attributes:
-            prop = iris.add_attribute(r.name, att)
-            axioms.append(owl.Declaration(owl.EntityKind.DATA_PROPERTY, prop))
-            axioms.append(owl.SubClassOf(owl.Named(owner_cls),
-                                         owl.DataExactCard(1, prop)))
-            axioms.append(owl.DataPropertyDomain(prop, owl.Named(owner_cls)))
-            axioms.append(owl.DataPropertyRange(prop, att.datatype))
-
-    for a in rm.associations:
-        prop = iris.add_association(a)
-        source_cls = owl.Named(iris.class_of_resource(a.source))
-        target_cls = owl.Named(iris.class_of_resource(a.target))
-        axioms.append(owl.Declaration(owl.EntityKind.OBJECT_PROPERTY, prop))
-        axioms.append(owl.ObjectPropertyDomain(prop, source_cls))
-        axioms.append(owl.ObjectPropertyRange(prop, target_cls))
-        if a.min > 0:
-            axioms.append(owl.SubClassOf(source_cls, owl.MinCard(a.min, prop)))
-        if a.max is not None:
-            axioms.append(owl.SubClassOf(source_cls, owl.MaxCard(a.max, prop)))
-
-    return owl.Ontology(base_iri, tuple(axioms)), iris
-
-
 def _sibling_groups(rm: ResourceModel) -> list[list[str]]:
     groups: list[list[str]] = []
     top = [r.name for r in rm.resources if r.parent is None]
@@ -163,49 +116,6 @@ def _sibling_groups(rm: ResourceModel) -> list[list[str]]:
         if children:
             groups.append(children)
     return groups
-
-
-def translate_behavioral_model(bm: BehavioralModel, rm: ResourceModel,
-                               base: tuple[owl.Ontology, IriMap],
-                               diagnostics: list[Diagnostic] | None = None
-                               ) -> tuple[owl.Ontology, IriMap]:
-    """Extend a translated resource model with the state machine axioms.
-
-    Invariants with an impossible size bound are still translated (to an
-    explicitly empty class) and reported through `diagnostics`.
-    """
-    ontology, iris = base
-    axioms = list(ontology.axioms)
-    anchor = owl.Named(iris.class_of_resource(bm.for_resource))
-
-    proper = [s for s in bm.states if s.kind is not StateKind.INITIAL]
-    for s in proper:
-        fragment = iris.add_state(s)
-        axioms.append(owl.Declaration(owl.EntityKind.CLASS, fragment))
-        axioms.append(owl.SubClassOf(owl.Named(fragment), anchor))
-
-    for s in proper:
-        if s.parent is not None:
-            axioms.append(owl.SubClassOf(
-                owl.Named(iris.class_of_state(s.name)),
-                owl.Named(iris.class_of_state(s.parent))))
-
-    # states that can be active at the same place in the machine exclude each
-    # other; final states are left out, they overlap the states they end
-    for group in _state_groups(bm):
-        if len(group) > 1:
-            axioms.append(owl.DisjointClasses(
-                tuple(owl.Named(iris.class_of_state(n)) for n in group)))
-
-    for s in proper:
-        if s.invariant is None:
-            continue
-        expr = translate_ocl(s.invariant, rm, bm.for_resource, iris,
-                             diagnostics=diagnostics, at=s)
-        axioms.append(owl.EquivalentClasses(
-            (owl.Named(iris.class_of_state(s.name)), expr)))
-
-    return owl.Ontology(ontology.base_iri, tuple(axioms)), iris
 
 
 def _state_groups(bm: BehavioralModel) -> list[list[str]]:
@@ -289,14 +199,84 @@ def translate_models(rm: ResourceModel, bm: BehavioralModel | None,
 
     Both models are validated first; if any check fails, InvalidModelError
     carries every validation diagnostic and nothing is translated.
+    Invariants with an impossible size bound are still translated (to an
+    explicitly empty class) and reported in the returned diagnostics.
     """
     diagnostics = validate_resource_model(rm)
     if bm is not None:
         diagnostics += validate_behavioral_model(bm, rm)
     if has_errors(diagnostics):
         raise InvalidModelError(diagnostics)
-    ontology, iris = translate_resource_model(rm, base_iri)
+
+    iris = IriMap()
+    axioms: list[owl.Axiom] = []
+    for r in rm.resources:
+        fragment = iris.add_resource(r)
+        axioms.append(owl.Declaration(owl.EntityKind.CLASS, fragment))
+
+    for r in rm.resources:
+        if r.parent is not None:
+            axioms.append(owl.SubClassOf(
+                owl.Named(iris.class_of_resource(r.name)),
+                owl.Named(iris.class_of_resource(r.parent))))
+
+    # resources sharing a parent (or the top level) are mutually exclusive
+    for group in _sibling_groups(rm):
+        if len(group) > 1:
+            axioms.append(owl.DisjointClasses(
+                tuple(owl.Named(iris.class_of_resource(n)) for n in group)))
+
+    for r in rm.resources:
+        if r.kind is not ResourceKind.NORMAL:
+            continue
+        owner_cls = iris.class_of_resource(r.name)
+        for att in r.attributes:
+            prop = iris.add_attribute(r.name, att)
+            axioms.append(owl.Declaration(owl.EntityKind.DATA_PROPERTY, prop))
+            axioms.append(owl.SubClassOf(owl.Named(owner_cls),
+                                         owl.DataExactCard(1, prop)))
+            axioms.append(owl.DataPropertyDomain(prop, owl.Named(owner_cls)))
+            axioms.append(owl.DataPropertyRange(prop, att.datatype))
+
+    for a in rm.associations:
+        prop = iris.add_association(a)
+        source_cls = owl.Named(iris.class_of_resource(a.source))
+        target_cls = owl.Named(iris.class_of_resource(a.target))
+        axioms.append(owl.Declaration(owl.EntityKind.OBJECT_PROPERTY, prop))
+        axioms.append(owl.ObjectPropertyDomain(prop, source_cls))
+        axioms.append(owl.ObjectPropertyRange(prop, target_cls))
+        if a.min > 0:
+            axioms.append(owl.SubClassOf(source_cls, owl.MinCard(a.min, prop)))
+        if a.max is not None:
+            axioms.append(owl.SubClassOf(source_cls, owl.MaxCard(a.max, prop)))
+
     if bm is not None:
-        ontology, iris = translate_behavioral_model(bm, rm, (ontology, iris),
-                                                    diagnostics=diagnostics)
-    return ontology, iris, diagnostics
+        anchor = owl.Named(iris.class_of_resource(bm.for_resource))
+        proper = [s for s in bm.states if s.kind is not StateKind.INITIAL]
+        for s in proper:
+            fragment = iris.add_state(s)
+            axioms.append(owl.Declaration(owl.EntityKind.CLASS, fragment))
+            axioms.append(owl.SubClassOf(owl.Named(fragment), anchor))
+
+        for s in proper:
+            if s.parent is not None:
+                axioms.append(owl.SubClassOf(
+                    owl.Named(iris.class_of_state(s.name)),
+                    owl.Named(iris.class_of_state(s.parent))))
+
+        # states that can be active at the same place in the machine exclude
+        # each other; final states are left out, they overlap the states they end
+        for group in _state_groups(bm):
+            if len(group) > 1:
+                axioms.append(owl.DisjointClasses(
+                    tuple(owl.Named(iris.class_of_state(n)) for n in group)))
+
+        for s in proper:
+            if s.invariant is None:
+                continue
+            expr = translate_ocl(s.invariant, rm, bm.for_resource, iris,
+                                 diagnostics=diagnostics, at=s)
+            axioms.append(owl.EquivalentClasses(
+                (owl.Named(iris.class_of_state(s.name)), expr)))
+
+    return owl.Ontology(base_iri, tuple(axioms)), iris, diagnostics

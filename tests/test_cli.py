@@ -168,6 +168,41 @@ def test_invariant_on_an_inherited_attribute(tmp_path):
         assert proc.stderr == ""
 
 
+NEGATIVE = """\
+resources Neg {
+  root resource R { attr x: boolean }
+  resource C { attr y: boolean }
+  association c: R -> C [0..*]
+}
+behavior B for R {
+  initial start
+  state s { inv: "self.c->size() < 0" }
+  state t { inv: "self.x = True" }
+  transition start -> s on POST R
+}
+"""
+
+
+def test_negative_size_bound_is_reported_and_translated_empty(tmp_path, capsys):
+    path = tmp_path / "negative.model"
+    path.write_text(NEGATIVE)
+    bound = (f"error[NEGATIVE_BOUND] size() < 0 can never hold in invariant "
+             f"of state 's' ({path}:8:19)")
+    assert cli.main(["check", str(path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["INCONSISTENT: 1 of 4 concepts unsatisfiable", bound]
+    assert out[2].startswith("error[UNSAT_STATE] state 's'")
+
+    assert cli.main(["translate", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert ("EquivalentClasses(:State_s ObjectIntersectionOf("
+            "ObjectMinCardinality(1 :c) ObjectMaxCardinality(0 :c)))"
+            in out.splitlines())
+    assert err.splitlines() == [bound]
+
+    assert cli.main(["validate", str(path)]) == 0
+
+
 def _search_finds_a_model(ontology, fragment, bound):
     return OracleResult(OracleStatus.SAT, 1, FiniteModel(1, {}, {}, {}))
 

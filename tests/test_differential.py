@@ -13,8 +13,8 @@ from restcheck.oracle import OracleStatus, bounded_model_search, check_witness
 from restcheck.owl import (DEFAULT_BASE_IRI, Complement, DataExactCard,
                            DataHasValue, DataPropertyDomain, DataPropertyRange,
                            Declaration, DisjointClasses, EntityKind,
-                           EquivalentClasses, Intersection, Named, Ontology,
-                           OwlLiteral, SubClassOf, Union)
+                           EquivalentClasses, FiniteModel, Intersection,
+                           Named, Ontology, OwlLiteral, SubClassOf, Union)
 from restcheck.reasoner import classify_all, compile_tbox, is_satisfiable
 
 
@@ -144,11 +144,15 @@ def test_engines_agree_on_data_heavy_ontologies():
         tbox = compile_tbox(ont)
         for name in _DATA_CLASSES:
             tab = is_satisfiable(tbox, name)
-            found = bounded_model_search(ont, name, 2).status is OracleStatus.SAT
+            search = bounded_model_search(ont, name, 2)
+            found = search.status is OracleStatus.SAT
             verdicts.append(tab.sat)
             if tab.sat != found:
                 problems.append(f"seed {seed} {name}: tableau {tab.sat}, search {found}")
             elif tab.sat:
+                # both engines describe what they find with one structure type
+                assert (type(tab.witness) is type(search.model) is FiniteModel
+                        and search.model.faithful)
                 w = tab.witness
                 why = ["not faithful"] if not w.faithful else check_witness(ont, name, w)
                 if why:

@@ -13,6 +13,7 @@ from restcheck.diagnostics import Code, Severity
 from restcheck.dsl import parse_model
 from restcheck.model import (NoPathError, ResourceModel, association_path,
                              navigation_path, validate_resource_model)
+from restcheck.translate import InvalidModelError, translate_models
 
 
 def _reachable(rm: ResourceModel) -> set[str]:
@@ -64,6 +65,28 @@ def test_inheritance_does_not_connect():
     codes = [d.code for d in validate_resource_model(rm)]
     assert codes == [Code.CONNECTIVITY]
     assert "Sub" in validate_resource_model(rm)[0].message
+
+
+@pytest.mark.parametrize("resources, flagged", [
+    ("  root resource A extends A { attr p: boolean }\n", ["A"]),
+    ("  root resource R { attr q: boolean }\n"
+     "  resource A extends B { attr p: boolean }\n"
+     "  resource B extends A { attr p2: boolean }\n"
+     "  resource C extends A { attr p3: boolean }\n"
+     "  association a: R -> A [0..*]\n"
+     "  association b: R -> B [0..*]\n"
+     "  association c: R -> C [0..*]\n", ["A", "B", "C"]),
+], ids=["self", "pair-and-descendant"])
+def test_inheritance_cycle_is_rejected(resources, flagged):
+    # a generalization hierarchy must be acyclic: every resource on a cycle,
+    # or on a path into one, is reported, and nothing is translated
+    rm, _ = parse_model("resources T {\n" + resources + "}\n")
+    diags = validate_resource_model(rm)
+    assert [d.code for d in diags] == [Code.CONNECTIVITY] * len(flagged)
+    assert [d.message for d in diags] == [
+        f"inheritance cycle involving '{name}'" for name in flagged]
+    with pytest.raises(InvalidModelError):
+        translate_models(rm, None)
 
 
 @pytest.mark.parametrize("fixture,code", [

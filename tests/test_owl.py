@@ -20,6 +20,9 @@ from restcheck.owl import (DEFAULT_BASE_IRI, Complement, DataHasValue,
 
 
 def test_canonical_values_identify_equal_literals():
+    # the canonical form is a literal of the same datatype
+    assert canon_value(OwlLiteral("007", DataType.INTEGER)) == \
+        OwlLiteral("7", DataType.INTEGER)
     assert canon_value(OwlLiteral("007", DataType.INTEGER)) == \
         canon_value(OwlLiteral("7", DataType.INTEGER))
     assert canon_value(OwlLiteral("+1", DataType.INTEGER)) == \
