@@ -8,8 +8,7 @@ reasoner and a bounded finite-model search.
 
 from .checker import (CheckOutcome, check_model, translate_model,
                       validate_model)
-from .diagnostics import (Code, Diagnostic, ParseError, ResolveError,
-                          Severity, SourceSpan)
+from .diagnostics import Code, Diagnostic, ParseError, Severity, SourceSpan
 from .dsl import format_model, parse_model
 from .model import (BehavioralModel, ResourceModel, validate_behavioral_model,
                     validate_resource_model)
@@ -34,7 +33,6 @@ __all__ = [
     "OracleResult",
     "OracleStatus",
     "ParseError",
-    "ResolveError",
     "ResourceModel",
     "SatResult",
     "Severity",

@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import dsl, oracle, owl, reasoner, translate
-from .diagnostics import (Code, Diagnostic, ParseError, ResolveError, error,
-                          has_errors)
+from .diagnostics import Code, Diagnostic, ParseError, error, has_errors
 from .model import (BehavioralModel, ResourceModel, validate_behavioral_model,
                     validate_resource_model)
 from .report import CheckReport, ConceptVerdict, build_report
@@ -35,13 +34,14 @@ class CheckOutcome:
 
 def _parse(text: str, file_name: str
            ) -> tuple[ResourceModel | None, BehavioralModel | None, list[Diagnostic]]:
-    """Parse without raising: syntax and name errors become diagnostics."""
+    """Parse without raising: a syntax error becomes the one diagnostic.
+
+    Names are not bound here; the validators report unbound ones.
+    """
     try:
         rm, bm = dsl.parse_model(text, file_name)
     except ParseError as exc:
         return None, None, [exc.to_diagnostic()]
-    except ResolveError as exc:
-        return None, None, exc.to_diagnostics()
     return rm, bm, []
 
 

@@ -1,5 +1,5 @@
-"""Shared diagnostic types: source positions, error codes, and the exceptions
-raised by the parsing layers."""
+"""Shared diagnostic types: source positions, error codes, and the syntax
+error raised by the parsing layers."""
 
 from __future__ import annotations
 
@@ -36,7 +36,6 @@ class Code(enum.Enum):
     NORMAL_NO_ATTR = "NORMAL_NO_ATTR"
     BAD_CARDINALITY = "BAD_CARDINALITY"
     UNRESOLVED_PATH = "UNRESOLVED_PATH"
-    NO_PATH = "NO_PATH"
     PARSE = "PARSE"
     UNSAT_RESOURCE = "UNSAT_RESOURCE"
     UNSAT_STATE = "UNSAT_STATE"
@@ -88,22 +87,3 @@ class ParseError(Exception):
         span = SourceSpan.point(self.file, self.line, self.col)
         return error(Code.PARSE, self.message, span)
 
-
-class ResolveError(Exception):
-    """One or more names in an otherwise well-formed input did not bind.
-
-    Collects every unbound reference so a single run reports them all.
-    """
-
-    def __init__(self, file: str, items: list[tuple[str, int, int]]):
-        names = ", ".join(f"'{n}'" for n, _, _ in items)
-        super().__init__(f"{file}: unresolved name(s): {names}")
-        self.file = file
-        self.items = tuple(items)
-
-    def to_diagnostics(self) -> list[Diagnostic]:
-        out = []
-        for name, line, col in self.items:
-            span = SourceSpan.point(self.file, line, col)
-            out.append(error(Code.UNRESOLVED_PATH, f"unresolved name '{name}'", span))
-        return out

@@ -14,16 +14,16 @@ A file holds one `resources` block and optionally one `behavior` block:
       transition start -> open on POST Order
     }
 
-Comments run from '#' to end of line.  Parsing resolves every name; unbound
-names are collected into a single ResolveError.  Structural rules beyond name
-binding are left to the validators.
+Comments run from '#' to end of line.  Parsing only checks syntax: names are
+stored as written, and binding them to declared resources and states is left
+to the validators in `model`, with every other structural rule.
 """
 
 from __future__ import annotations
 
 import re
 
-from .diagnostics import ParseError, ResolveError, SourceSpan
+from .diagnostics import ParseError, SourceSpan
 from .lexer import Tok, TokenCursor, quote, tokenize, unquote
 from .model import (Association, AttributeDef, BehavioralModel, DataType,
                     ResourceDef, ResourceKind, ResourceModel, State, StateKind,
@@ -53,10 +53,6 @@ _TRIGGERS = {"PUT", "POST", "DELETE"}
 
 class _Parser(TokenCursor):
     """Recursive descent over the token list."""
-
-    def __init__(self, toks: list[Tok], file: str):
-        super().__init__(toks, file)
-        self.unresolved: list[tuple[str, int, int]] = []
 
     # -- token plumbing
 
@@ -107,7 +103,6 @@ class _Parser(TokenCursor):
             bm = self.behavior_block()
         if self.peek().kind != "eof":
             self.fail("'behavior' or end of input")
-        self.resolve(rm, bm)
         return rm, bm
 
     def resources_block(self) -> ResourceModel:
@@ -180,7 +175,7 @@ class _Parser(TokenCursor):
                            span=self.span(start))
 
     def behavior_block(self) -> BehavioralModel:
-        self.expect("behavior")
+        start = self.expect("behavior")
         name = self.ident("a behavior name")
         self.expect("for")
         target = self.ident("a resource name")
@@ -192,16 +187,8 @@ class _Parser(TokenCursor):
         while self.at("transition"):
             transitions.append(self.trans_decl())
         self.expect("}")
-        # a state becomes composite once something is declared inside it
-        parents = {s.parent for s in states if s.parent is not None}
-        final_states = []
-        for s in states:
-            if s.name in parents and s.kind is StateKind.SIMPLE:
-                s = State(s.name, StateKind.COMPOSITE, s.parent, s.region,
-                          s.invariant, span=s.span)
-            final_states.append(s)
-        return BehavioralModel(name.text, target.text, tuple(final_states),
-                               tuple(transitions))
+        return BehavioralModel(name.text, target.text, tuple(states),
+                               tuple(transitions), span=self.span(start))
 
     def state_decl(self) -> State:
         start = self.peek()
@@ -262,43 +249,13 @@ class _Parser(TokenCursor):
         return Transition(source.text, target.text, trigger, target_resource,
                           guard, post, span=self.span(start))
 
-    # -- name resolution
-
-    def resolve(self, rm: ResourceModel, bm: BehavioralModel | None):
-        resource_names = {r.name for r in rm.resources}
-        for r in rm.resources:
-            if r.parent is not None and r.parent not in resource_names:
-                self.note_unresolved(r.parent, r.span)
-        for a in rm.associations:
-            for end in (a.source, a.target):
-                if end not in resource_names:
-                    self.note_unresolved(end, a.span)
-        if bm is not None:
-            state_names = {s.name for s in bm.states}
-            if bm.for_resource not in resource_names:
-                self.note_unresolved(bm.for_resource, None)
-            for s in bm.states:
-                if s.parent is not None and s.parent not in state_names:
-                    self.note_unresolved(s.parent, s.span)
-            for t in bm.transitions:
-                for end in (t.source, t.target):
-                    if end not in state_names:
-                        self.note_unresolved(end, t.span)
-                if t.target_resource is not None and t.target_resource not in resource_names:
-                    self.note_unresolved(t.target_resource, t.span)
-        if self.unresolved:
-            raise ResolveError(self.file, self.unresolved)
-
-    def note_unresolved(self, name: str, span: SourceSpan | None):
-        line, col = (span.line, span.col) if span else (1, 1)
-        self.unresolved.append((name, line, col))
-
 
 def parse_model(text: str, file_name: str = "<input>") -> tuple[ResourceModel, BehavioralModel | None]:
     """Parse a model file into its resource and optional behavioral model.
 
-    Raises ParseError on syntax errors and ResolveError when names do not
-    bind; both carry file positions.
+    Raises ParseError, with a file position, on syntax errors.  No name is
+    bound here: a reference to an undeclared resource or state parses, and
+    the validators (or translate_models, which runs them) report it.
     """
     parser = _Parser(tokenize(_TOKEN_RE, text, file_name), file_name)
     return parser.model()

@@ -38,7 +38,6 @@ class Trigger(enum.Enum):
 
 class StateKind(enum.Enum):
     SIMPLE = "simple"
-    COMPOSITE = "composite"
     INITIAL = "initial"
     FINAL = "final"
 
@@ -137,6 +136,7 @@ class BehavioralModel:
     for_resource: str
     states: tuple[State, ...] = ()
     transitions: tuple[Transition, ...] = ()
+    span: SourceSpan | None = field(default=None, compare=False)
 
     def state(self, name: str) -> State | None:
         for s in self.states:
@@ -306,7 +306,8 @@ def validate_behavioral_model(bm: BehavioralModel, rm: ResourceModel) -> list[Di
     diags: list[Diagnostic] = []
     if rm.resource(bm.for_resource) is None:
         diags.append(error(Code.UNRESOLVED_PATH,
-                           f"behavioral model '{bm.name}' is for unknown resource '{bm.for_resource}'"))
+                           f"behavioral model '{bm.name}' is for unknown resource '{bm.for_resource}'",
+                           bm.span))
 
     by_name: dict[str, State] = {}
     for s in bm.states:
@@ -333,7 +334,8 @@ def validate_behavioral_model(bm: BehavioralModel, rm: ResourceModel) -> list[Di
     initials = [s for s in bm.states if s.kind is StateKind.INITIAL]
     if not initials:
         diags.append(error(Code.CONNECTIVITY,
-                           f"behavioral model '{bm.name}' has no initial state"))
+                           f"behavioral model '{bm.name}' has no initial state",
+                           bm.span))
     elif len(initials) > 1:
         diags.append(error(Code.DUPLICATE_LABEL,
                            f"behavioral model '{bm.name}' has more than one initial state",

@@ -19,7 +19,7 @@ from .diagnostics import Code, Diagnostic, SourceSpan, error, has_errors
 from .model import (Association, BehavioralModel, ResourceKind, ResourceModel,
                     State, StateKind, validate_behavioral_model,
                     validate_resource_model)
-from .ocl import AttrEq, CmpOp, NavPath, OclAnd, OclExpr, OclOr, SizeCmp, resolve_path
+from .ocl import AttrEq, CmpOp, OclAnd, OclExpr, OclOr, SizeCmp, resolve_path
 
 
 class ElementKind(enum.Enum):
@@ -119,8 +119,7 @@ def _sibling_groups(rm: ResourceModel) -> list[list[str]]:
 
 
 def _state_groups(bm: BehavioralModel) -> list[list[str]]:
-    reasoned = [s for s in bm.states
-                if s.kind in (StateKind.SIMPLE, StateKind.COMPOSITE)]
+    reasoned = [s for s in bm.states if s.kind is StateKind.SIMPLE]
     keys: list[tuple[str | None, int]] = []
     for s in reasoned:
         key = (s.parent, s.region)

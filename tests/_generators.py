@@ -7,9 +7,9 @@ import random
 from restcheck import owl
 from restcheck.model import DataType
 from restcheck.owl import (Complement, DataExactCard, DataHasValue,
-                           DataPropertyDomain, DataPropertyRange, Declaration,
-                           DisjointClasses, EntityKind, EquivalentClasses,
-                           ExactCard, Intersection, MaxCard, MinCard, Named,
+                           DataPropertyRange, Declaration, DisjointClasses,
+                           EntityKind, EquivalentClasses, ExactCard,
+                           Intersection, MaxCard, MinCard, Named,
                            ObjectPropertyDomain, ObjectPropertyRange,
                            Ontology, OwlLiteral, Some, SubClassOf, Union)
 

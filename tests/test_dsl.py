@@ -11,8 +11,9 @@ import _generators
 from _harness import dsl_fixed_point
 from conftest import EXAMPLES
 
-from restcheck.diagnostics import Code, ParseError, ResolveError
-from restcheck.dsl import format_model, parse_model
+from restcheck.checker import validate_model
+from restcheck.diagnostics import Code, ParseError
+from restcheck.dsl import parse_model
 from restcheck.model import (DataType, ResourceKind, StateKind, Trigger)
 
 
@@ -83,9 +84,9 @@ def test_extends_and_composite_states():
     assert rm.resource("Sub").parent == "S"
     # inherited attributes are visible through the parent chain
     assert [a.name for a in rm.attributes_of("Sub")] == ["b"]
-    outer = bm.state("outer")
-    assert outer.kind is StateKind.COMPOSITE
+    # a state is composite when others are declared inside it
     assert bm.state("left").parent == "outer"
+    assert bm.state("right").parent == "outer"
     assert bm.state("right").region == 1
 
 
@@ -150,15 +151,19 @@ def test_invariant_errors_point_into_the_string():
 
 
 def test_unresolved_names_are_collected():
+    # the parser binds no names; validation reports each unbound one
     text = ("resources M {\n"
             "  root resource R { attr a: string }\n"
             "  association x: R -> Ghost [0..1]\n"
+            "  association y: Phantom -> R [0..1]\n"
             "}\n")
-    with pytest.raises(ResolveError) as err:
-        parse_model(text)
-    diags = err.value.to_diagnostics()
-    assert any(d.code is Code.UNRESOLVED_PATH and "Ghost" in d.message
-               for d in diags)
+    rm, _ = parse_model(text)
+    assert rm.association("x").target == "Ghost"
+    diags = validate_model(text).report.diagnostics
+    assert [(d.code, d.message) for d in diags] == [
+        (Code.UNRESOLVED_PATH, "association 'x' refers to unknown resource 'Ghost'"),
+        (Code.UNRESOLVED_PATH, "association 'y' refers to unknown resource 'Phantom'"),
+    ]
 
 
 @settings(max_examples=200, deadline=None)
@@ -167,5 +172,5 @@ def test_parser_is_total(text):
     """Arbitrary input either parses or raises a positioned error."""
     try:
         parse_model(text)
-    except (ParseError, ResolveError):
+    except ParseError:
         pass

@@ -9,6 +9,7 @@ import pytest
 import _generators
 from conftest import DATA, EXAMPLES
 
+from restcheck.checker import EXIT_INVALID, validate_model
 from restcheck.diagnostics import Code, Severity
 from restcheck.dsl import parse_model
 from restcheck.model import (NoPathError, ResourceModel, association_path,
@@ -102,6 +103,58 @@ def test_validation_fixture_codes(fixture, code):
     assert [d.code for d in diags] == [code]
     assert diags[0].severity is Severity.ERROR
     assert diags[0].span is not None
+
+
+REFERENCES = (
+    "resources M {\n"
+    "  root resource R { attr a: string }\n"
+    "  resource S { attr b: string }\n"
+    "  association s: R -> S [0..1]\n"
+    "}\n"
+    "behavior B for R {\n"
+    "  initial i\n"
+    "  state p\n"
+    "  state q in p\n"
+    "  transition i -> p on POST S\n"
+    "}\n")
+
+
+@pytest.mark.parametrize("old, new, line, message", [
+    ("resource S {", "resource S extends Ghost {", 3,
+     "resource 'S' extends unknown resource 'Ghost'"),
+    ("R -> S [", "R -> Ghost [", 4,
+     "association 's' refers to unknown resource 'Ghost'"),
+    ("B for R", "B for Ghost", 6,
+     "behavioral model 'B' is for unknown resource 'Ghost'"),
+    ("q in p", "q in Ghost", 9,
+     "state 'q' is declared inside unknown state 'Ghost'"),
+    ("i -> p", "i -> Ghost", 10, "transition refers to unknown state 'Ghost'"),
+    ("POST S", "POST Ghost", 10, "transition refers to unknown resource 'Ghost'"),
+], ids=["extends", "association-end", "behavior-for", "state-in",
+        "transition-end", "transition-resource"])
+def test_unbound_names_are_reported_by_validation(old, new, line, message):
+    outcome = validate_model(REFERENCES.replace(old, new), "m.model")
+    assert outcome.exit_code == EXIT_INVALID
+    unbound = [(d.message, d.span.line) for d in outcome.report.diagnostics
+               if d.code is Code.UNRESOLVED_PATH]
+    assert unbound == [(message, line)]
+
+
+def test_unbound_name_does_not_hide_other_errors():
+    text = REFERENCES.replace("R -> S [0..1]\n",
+                              "R -> S [0..1]\n  association s: R -> Ghost [0..1]\n")
+    diags = validate_model(text).report.diagnostics
+    assert [(d.code, d.message, d.span.line) for d in diags] == [
+        (Code.DUPLICATE_LABEL, "duplicate association label 's'", 5),
+        (Code.UNRESOLVED_PATH, "association 's' refers to unknown resource 'Ghost'", 5),
+    ]
+
+
+def test_missing_initial_state_points_at_the_behavior():
+    text = REFERENCES.replace("  initial i\n", "").replace("i -> p", "p -> p")
+    diags = validate_model(text, "m.model").report.diagnostics
+    assert [(d.code, d.message, d.span.line) for d in diags] == [
+        (Code.CONNECTIVITY, "behavioral model 'B' has no initial state", 6)]
 
 
 def _booking_model() -> ResourceModel:

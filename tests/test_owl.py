@@ -12,11 +12,11 @@ from conftest import GOLDEN
 from restcheck.diagnostics import ParseError
 from restcheck.model import DataType
 from restcheck.owl import (DEFAULT_BASE_IRI, Complement, DataHasValue,
-                           Declaration, DisjointClasses, EntityKind,
-                           Intersection, MaxCard, MinCard, Named, Ontology,
-                           OwlLiteral, Some, SubClassOf, UnsupportedAxiomError,
-                           canon_value, parse_functional_syntax, serialize,
-                           valid_lexical, walk)
+                           Declaration, EntityKind, Intersection, MaxCard,
+                           MinCard, Named, Ontology, OwlLiteral, Some,
+                           SubClassOf, UnsupportedAxiomError, canon_value,
+                           parse_functional_syntax, serialize, valid_lexical,
+                           walk)
 
 
 def test_canonical_values_identify_equal_literals():
