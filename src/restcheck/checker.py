@@ -71,18 +71,16 @@ def check_model(text: str, file_name: str = "<input>", *,
     ontology, iris = translated
 
     tbox = reasoner.compile_tbox(ontology)
-    verdicts = reasoner.classify_all(tbox)
-
     concepts: list[ConceptVerdict] = []
     disagreements: list[str] = []
-    for fragment, result in verdicts:
-        entry = iris.element_for_class(fragment)
-        if entry is None:  # every declared class came from the translator
-            raise RuntimeError(f"class '{fragment}' has no source element")
-        kind = "resource" if entry.kind is translate.ElementKind.RESOURCE else "state"
-        concepts.append(ConceptVerdict(entry.name, kind, result.sat, entry.span))
+    # the translator claims classes in declaration order, so this is the
+    # order in which the tableau's classes were declared
+    for fragment, entry in iris.classes.items():
+        result = reasoner.is_satisfiable(tbox, fragment)
+        concepts.append(ConceptVerdict(entry.name, entry.kind.value, result.sat,
+                                       entry.span))
         if not result.sat:
-            if kind == "resource":
+            if entry.kind is translate.ElementKind.RESOURCE:
                 diagnostics.append(error(
                     Code.UNSAT_RESOURCE,
                     f"resource '{entry.name}' can never be instantiated",

@@ -60,10 +60,6 @@ def error(code: Code, message: str, span: SourceSpan | None = None) -> Diagnosti
     return Diagnostic(Severity.ERROR, code, message, span)
 
 
-def warning(code: Code, message: str, span: SourceSpan | None = None) -> Diagnostic:
-    return Diagnostic(Severity.WARNING, code, message, span)
-
-
 def has_errors(diagnostics) -> bool:
     return any(d.severity is Severity.ERROR for d in diagnostics)
 

@@ -56,20 +56,6 @@ class _Parser(TokenCursor):
 
     # -- token plumbing
 
-    def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind in ("ident", "punct", "arrow", "range")
-
-    def accept(self, text: str) -> bool:
-        if self.at(text):
-            self.next()
-            return True
-        return False
-
-    def expect(self, text: str) -> Tok:
-        if not self.at(text):
-            self.fail(f"'{text}'")
-        return self.next()
-
     def ident(self, what: str = "an identifier") -> Tok:
         tok = self.peek()
         if tok.kind != "ident" or tok.text in _KEYWORDS:
@@ -95,8 +81,6 @@ class _Parser(TokenCursor):
     # -- grammar
 
     def model(self) -> tuple[ResourceModel, BehavioralModel | None]:
-        if not self.at("resources"):
-            self.fail("'resources'")
         rm = self.resources_block()
         bm = None
         if self.at("behavior"):
@@ -157,15 +141,11 @@ class _Parser(TokenCursor):
         label = self.ident("an association label")
         self.expect(":")
         source = self.ident("a resource name")
-        if self.peek().kind != "arrow":
-            self.fail("'->'")
-        self.next()
+        self.expect("->")
         target = self.ident("a resource name")
         self.expect("[")
         lo = int(self.nat().text)
-        if self.peek().kind != "range":
-            self.fail("'..'")
-        self.next()
+        self.expect("..")
         if self.accept("*"):
             hi = None
         else:
@@ -224,9 +204,7 @@ class _Parser(TokenCursor):
     def trans_decl(self) -> Transition:
         start = self.expect("transition")
         source = self.ident("a state name")
-        if self.peek().kind != "arrow":
-            self.fail("'->'")
-        self.next()
+        self.expect("->")
         target = self.ident("a state name")
         self.expect("on")
         tok = self.peek()

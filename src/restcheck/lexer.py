@@ -79,6 +79,20 @@ class TokenCursor:
         self.i += 1
         return tok
 
+    def at(self, text: str) -> bool:
+        return self.peek().text == text
+
+    def accept(self, text: str) -> bool:
+        if self.at(text):
+            self.next()
+            return True
+        return False
+
+    def expect(self, text: str) -> Tok:
+        if not self.at(text):
+            self.fail(f"'{text}'")
+        return self.next()
+
     def fail(self, expected: str, tok: Tok | None = None):
         tok = tok or self.peek()
         found = "end of input" if tok.kind == "eof" else repr(tok.text)

@@ -8,7 +8,6 @@ state machine attached to one resource, whose states may carry invariants.
 from __future__ import annotations
 
 import enum
-import heapq
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -145,57 +144,6 @@ class BehavioralModel:
         return None
 
 
-class NoPathError(Exception):
-    def __init__(self, src: str, dst: str):
-        super().__init__(f"no association path from '{src}' to '{dst}'")
-        self.src = src
-        self.dst = dst
-
-
-def association_path(rm: ResourceModel, src: str, dst: str) -> tuple[str, ...]:
-    """Shortest directed label path from src to dst.
-
-    Ties on length are broken lexicographically on the label sequence, so the
-    result is stable regardless of declaration order.
-    """
-    if rm.resource(src) is None:
-        raise NoPathError(src, dst)
-    if src == dst:
-        return ()
-    # Dijkstra over (length, labels); the tuple ordering gives the tie-break.
-    heap: list[tuple[int, tuple[str, ...], str]] = [(0, (), src)]
-    best: dict[str, tuple[int, tuple[str, ...]]] = {src: (0, ())}
-    while heap:
-        dist, labels, cur = heapq.heappop(heap)
-        if best.get(cur, (dist, labels)) < (dist, labels):
-            continue
-        if cur == dst:
-            return labels
-        for a in rm.associations:
-            if a.source != cur:
-                continue
-            cand = (dist + 1, labels + (a.label,))
-            if a.target not in best or cand < best[a.target]:
-                best[a.target] = cand
-                heapq.heappush(heap, (cand[0], cand[1], a.target))
-    raise NoPathError(src, dst)
-
-
-def navigation_path(rm: ResourceModel, target: str) -> str:
-    """URI template addressing a resource: root id segment, then labels.
-
-    The service root is addressed by id, every other resource by the labels
-    on the shortest association path from the root.
-    """
-    root = rm.root()
-    if root is None:
-        raise NoPathError("<root>", target)
-    labels = association_path(rm, root.name, target)
-    stem = root.name[0].lower() + root.name[1:]
-    prefix = f"/{{{stem}Id}}/"
-    return prefix + "/".join(labels) if labels else prefix
-
-
 # --- structural validation ---------------------------------------------------
 
 
@@ -215,7 +163,8 @@ def validate_resource_model(rm: ResourceModel) -> list[Diagnostic]:
             by_name[r.name] = r
 
     for r in rm.resources:
-        if r.parent is not None and r.parent not in by_name:
+        unbound_parent = r.parent is not None and r.parent not in by_name
+        if unbound_parent:
             diags.append(error(Code.UNRESOLVED_PATH,
                                f"resource '{r.name}' extends unknown resource '{r.parent}'",
                                r.span))
@@ -234,7 +183,9 @@ def validate_resource_model(rm: ResourceModel) -> list[Diagnostic]:
             diags.append(error(Code.COLLECTION_HAS_ATTR,
                                f"collection '{r.name}' must not declare attributes",
                                r.span))
-        if r.kind is ResourceKind.NORMAL and not rm.attributes_of(r.name):
+        # with an unknown parent the inherited attributes are unknown too
+        if (r.kind is ResourceKind.NORMAL and not unbound_parent
+                and not rm.attributes_of(r.name)):
             diags.append(error(Code.NORMAL_NO_ATTR,
                                f"resource '{r.name}' declares no attributes",
                                r.span))

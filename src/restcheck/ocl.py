@@ -103,17 +103,10 @@ _KEYWORDS = {"self", "and", "or", "True", "False", "size"}
 
 
 class _Parser(TokenCursor):
-    def expect_text(self, text: str) -> Tok:
-        tok = self.peek()
-        if tok.text != text:
-            self.fail(f"'{text}'")
-        return self.next()
-
     def expr(self) -> OclExpr:
         first = self.term()
         args = [first]
-        while self.peek().text == "or":
-            self.next()
+        while self.accept("or"):
             args.append(self.term())
         if len(args) == 1:
             return first
@@ -126,8 +119,7 @@ class _Parser(TokenCursor):
     def term(self) -> OclExpr:
         first = self.prim()
         args = [first]
-        while self.peek().text == "and":
-            self.next()
+        while self.accept("and"):
             args.append(self.prim())
         if len(args) == 1:
             return first
@@ -137,21 +129,16 @@ class _Parser(TokenCursor):
         return OclAnd(tuple(flat), span=args[0].span)
 
     def prim(self) -> OclExpr:
-        if self.peek().text == "(":
-            self.next()
+        if self.accept("("):
             inner = self.expr()
-            self.expect_text(")")
+            self.expect(")")
             return inner
         start = self.peek()
         path = self.path()
-        tok = self.peek()
-        if tok.kind == "arrow":
-            self.next()
-            size = self.next()
-            if size.text != "size":
-                self.fail("'size'", size)
-            self.expect_text("(")
-            self.expect_text(")")
+        if self.accept("->"):
+            self.expect("size")
+            self.expect("(")
+            self.expect(")")
             op_tok = self.peek()
             if op_tok.kind != "cmp":
                 self.fail("a comparison operator")
@@ -163,8 +150,7 @@ class _Parser(TokenCursor):
             span = SourceSpan(self.file, start.line, start.col, bound_tok.line,
                               bound_tok.col + len(bound_tok.text))
             return SizeCmp(path, op, int(bound_tok.text), span=span)
-        if tok.kind == "cmp" and tok.text == "=":
-            self.next()
+        if self.accept("="):
             lit, end = self.literal()
             span = SourceSpan(self.file, start.line, start.col, end.line, end.col + len(end.text))
             return AttrEq(path, lit, span=span)
@@ -176,18 +162,14 @@ class _Parser(TokenCursor):
         tok = self.peek()
         if tok.kind != "ident":
             self.fail("a navigation path")
-        if tok.text == "self":
-            self.next()
-            self.expect_text(".")
-            tok = self.peek()
+        if self.accept("self"):
+            self.expect(".")
         while True:
+            tok = self.peek()
             if tok.kind != "ident" or tok.text in _KEYWORDS:
-                self.fail("an identifier", tok)
+                self.fail("an identifier")
             segs.append(self.next().text)
-            if self.peek().text == ".":
-                self.next()
-                tok = self.peek()
-            else:
+            if not self.accept("."):
                 break
         return NavPath(tuple(segs))
 
@@ -202,8 +184,7 @@ class _Parser(TokenCursor):
         if tok.kind == "nat":
             self.next()
             return OclLiteral(DataType.INTEGER, tok.text), tok
-        if tok.text == "-":
-            self.next()
+        if self.accept("-"):
             num = self.peek()
             if num.kind == "decimal":
                 self.next()

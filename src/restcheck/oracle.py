@@ -119,10 +119,6 @@ def violations(model: FiniteModel, ontology: owl.Ontology) -> list[str]:
     return bad
 
 
-def satisfies(model: FiniteModel, ontology: owl.Ontology) -> bool:
-    return not violations(model, ontology)
-
-
 def check_witness(ontology: owl.Ontology, class_name: str,
                   structure: FiniteModel) -> list[str]:
     """Why the structure is not a model of the ontology with element 0 in the

@@ -103,9 +103,6 @@ class IriMap:
     def prop_of_attribute(self, owner: str, name: str) -> str:
         return self._fragments[(ElementKind.ATTRIBUTE, owner, name)]
 
-    def element_for_class(self, fragment: str) -> IriEntry | None:
-        return self.classes.get(fragment)
-
 
 def _sibling_groups(rm: ResourceModel) -> list[list[str]]:
     groups: list[list[str]] = []

@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 
 import jsonschema
 import pytest
 
-from conftest import DATA, EXAMPLES, GOLDEN, run_cli
+from conftest import DATA, EXAMPLES, GOLDEN, ROOT, run_cli
 
 from restcheck import cli
 from restcheck.oracle import FiniteModel, OracleResult, OracleStatus
@@ -23,6 +25,13 @@ def test_check_consistent_model():
     assert proc.stdout.startswith(
         "CONSISTENT: 6 resources, 5 states, all satisfiable")
     assert proc.stderr == ""
+
+
+def test_package_runs_as_a_module():
+    proc = subprocess.run([sys.executable, "-m", "restcheck", "check", BOOKING],
+                          capture_output=True, text=True, cwd=ROOT)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("CONSISTENT:")
 
 
 def test_check_inconsistent_model():
@@ -201,6 +210,36 @@ def test_negative_size_bound_is_reported_and_translated_empty(tmp_path, capsys):
     assert err.splitlines() == [bound]
 
     assert cli.main(["validate", str(path)]) == 0
+
+
+UNSAT_ROOT = """\
+resources U {
+  root resource R { attr flag: boolean }
+  resource C { attr n: integer }
+  association c: R -> C [0..*]
+}
+behavior B for R {
+  initial i
+  state a { inv: "self.flag = True or self.flag = False" }
+  state b { inv: "self.flag = True or self.flag = False" }
+  transition i -> a on POST
+}
+"""
+
+
+def test_unsatisfiable_resource_is_reported_as_a_resource(tmp_path, capsys):
+    # every R is in both a and b, which are disjoint siblings, so R, a and b
+    # are empty; C stays satisfiable because nothing forces an R to exist
+    path = tmp_path / "unsat.model"
+    path.write_text(UNSAT_ROOT)
+    assert cli.main(["check", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "INCONSISTENT: 3 of 4 concepts unsatisfiable",
+        f"error[UNSAT_RESOURCE] resource 'R' can never be instantiated ({path}:2:3)",
+        f"error[UNSAT_STATE] state 'a' can never be active ({path}:8:3)",
+        f"error[UNSAT_STATE] state 'b' can never be active ({path}:9:3)",
+    ]
+    assert cli.main(["check", str(path), "--oracle", "bounded:3"]) == 1
 
 
 def _search_finds_a_model(ontology, fragment, bound):

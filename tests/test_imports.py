@@ -1,11 +1,13 @@
-"""Every imported name is used: a small stand-in for a linter's unused-import rule."""
+"""Every imported name is used, and every package definition is used or
+exported: a small stand-in for a linter's unused-code rules."""
 from __future__ import annotations
 
 import ast
 
 from conftest import ROOT
 
-SOURCES = sorted((ROOT / "src" / "restcheck").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "restcheck").glob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -56,3 +58,22 @@ def test_no_unused_imports():
         unused += [f"{path.relative_to(ROOT)}:{line}: '{name}' imported but unused"
                    for name, line in _imported(tree).items() if name not in used]
     assert unused == []
+
+
+def _referenced(node: ast.AST) -> set[str]:
+    """Names a node refers to, as a bare name, an attribute or in `__all__`."""
+    return _used(node) | {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+
+
+def test_no_orphan_definitions():
+    """Every module-level function and class in the package is used by other
+    package code or exported: a definition only tests call is dead weight."""
+    statements = [(path, stmt) for path in PACKAGE
+                  for stmt in ast.parse(path.read_text(), str(path)).body]
+    referenced = [_referenced(stmt) for _, stmt in statements]
+    orphans = [f"{path.relative_to(ROOT)}:{stmt.lineno}: '{stmt.name}'"
+               for i, (path, stmt) in enumerate(statements)
+               if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+               and not any(stmt.name in names
+                           for j, names in enumerate(referenced) if j != i)]
+    assert orphans == []

@@ -7,13 +7,12 @@ import random
 import pytest
 
 import _generators
-from conftest import DATA, EXAMPLES
+from conftest import DATA
 
 from restcheck.checker import EXIT_INVALID, validate_model
 from restcheck.diagnostics import Code, Severity
 from restcheck.dsl import parse_model
-from restcheck.model import (NoPathError, ResourceModel, association_path,
-                             navigation_path, validate_resource_model)
+from restcheck.model import ResourceModel, validate_resource_model
 from restcheck.translate import InvalidModelError, translate_models
 
 
@@ -140,6 +139,15 @@ def test_unbound_names_are_reported_by_validation(old, new, line, message):
     assert unbound == [(message, line)]
 
 
+def test_unknown_parent_is_the_only_diagnostic():
+    # attributes inherited from an unknown resource are unknown, so a
+    # resource with none of its own is not also reported as attribute-less
+    text = REFERENCES.replace("resource S { attr b: string }", "resource S extends Ghost")
+    diags = validate_model(text, "m.model").report.diagnostics
+    assert [(d.code, d.message, d.span.line) for d in diags] == [
+        (Code.UNRESOLVED_PATH, "resource 'S' extends unknown resource 'Ghost'", 3)]
+
+
 def test_unbound_name_does_not_hide_other_errors():
     text = REFERENCES.replace("R -> S [0..1]\n",
                               "R -> S [0..1]\n  association s: R -> Ghost [0..1]\n")
@@ -155,45 +163,3 @@ def test_missing_initial_state_points_at_the_behavior():
     diags = validate_model(text, "m.model").report.diagnostics
     assert [(d.code, d.message, d.span.line) for d in diags] == [
         (Code.CONNECTIVITY, "behavioral model 'B' has no initial state", 6)]
-
-
-def _booking_model() -> ResourceModel:
-    text = (EXAMPLES / "hotel_booking.model").read_text()
-    return parse_model(text, "hotel_booking.model")[0]
-
-
-def test_navigation_path_templates():
-    rm = _booking_model()
-    assert navigation_path(rm, "Booking") == "/{bookingId}/"
-    assert navigation_path(rm, "Payment") == "/{bookingId}/payment"
-    assert navigation_path(rm, "Room") == "/{bookingId}/rooms/room"
-    assert navigation_path(rm, "Cancellation") == "/{bookingId}/cancellation"
-
-
-def test_association_path_picks_shortest_then_lexicographic():
-    rm, _ = parse_model(
-        "resources T {\n"
-        "  root resource R { attr a: string }\n"
-        "  resource X { attr a: string }\n"
-        "  resource Y { attr a: string }\n"
-        "  resource T2 { attr a: string }\n"
-        "  association b: R -> X [0..1]\n"
-        "  association a: R -> Y [0..1]\n"
-        "  association z: X -> T2 [0..1]\n"
-        "  association y: Y -> T2 [0..1]\n"
-        "}\n")
-    # both routes have two hops; (a, y) sorts before (b, z)
-    assert association_path(rm, "R", "T2") == ("a", "y")
-    assert association_path(rm, "R", "R") == ()
-
-
-def test_unreachable_target_raises():
-    rm = _booking_model()
-    with pytest.raises(NoPathError):
-        association_path(rm, "Payment", "Room")
-    rm2, _ = parse_model(
-        "resources T {\n"
-        "  root resource R { attr a: string }\n"
-        "}\n")
-    with pytest.raises(NoPathError):
-        navigation_path(rm2, "Ghost")

@@ -16,7 +16,7 @@ from restcheck.owl import (DEFAULT_BASE_IRI, Complement, DataExactCard,
 from restcheck.model import DataType
 from restcheck.oracle import (ORACLE_MAX_DOMAIN, BoundTooLargeError,
                               FiniteModel, OracleStatus, bounded_model_search,
-                              eval_expr, satisfies, solve_cnf, violations)
+                              eval_expr, solve_cnf, violations)
 
 
 # --- the propositional core --------------------------------------------------
@@ -125,10 +125,10 @@ def test_violations_name_the_broken_axiom():
     assert len(broken) == 2
     assert all("SubClassOf" in b for b in broken)
     assert "element 0" in broken[0] and "element 1" in broken[1]
-    assert not satisfies(_MODEL, ont)
+    assert violations(_MODEL, ont)
     fine = Ontology(DEFAULT_BASE_IRI, (
         SubClassOf(Named("B"), DataExactCard(1, "p")),))
-    assert satisfies(_MODEL, fine)
+    assert violations(_MODEL, fine) == []
 
 
 # --- the bounded search ------------------------------------------------------
@@ -148,7 +148,7 @@ def test_search_reports_the_smallest_domain():
     # one element cannot carry two distinct successors
     assert res.bound == 2
     assert res.model is not None and res.model.size == 2
-    assert satisfies(res.model, ont)
+    assert violations(res.model, ont) == []
 
 
 def test_found_models_satisfy_the_ontology():
@@ -160,7 +160,7 @@ def test_found_models_satisfy_the_ontology():
     res = bounded_model_search(ont, "A", 4)
     assert res.status is OracleStatus.SAT and res.bound == 2
     assert eval_expr(res.model, Named("A"), 0)
-    assert satisfies(res.model, ont)
+    assert violations(res.model, ont) == []
 
 
 def test_unsatisfiable_class_exhausts_every_size():

@@ -126,7 +126,7 @@ def test_clashing_class_fragments_get_suffixes():
         "}\n")
     assert iris.class_of_resource("State_s") == "State_s"
     assert iris.class_of_state("s") == "State_s_2"
-    entry = iris.element_for_class("State_s_2")
+    entry = iris.classes["State_s_2"]
     assert entry.kind is ElementKind.STATE and entry.name == "s"
 
 
