@@ -138,6 +138,3 @@ def main(argv: list[str] | None = None) -> int:
                                   oracle_bound=args.oracle)
     return _emit_report(outcome, args.format, args.output)
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -163,8 +163,7 @@ def validate_resource_model(rm: ResourceModel) -> list[Diagnostic]:
             by_name[r.name] = r
 
     for r in rm.resources:
-        unbound_parent = r.parent is not None and r.parent not in by_name
-        if unbound_parent:
+        if r.parent is not None and r.parent not in by_name:
             diags.append(error(Code.UNRESOLVED_PATH,
                                f"resource '{r.name}' extends unknown resource '{r.parent}'",
                                r.span))
@@ -183,9 +182,9 @@ def validate_resource_model(rm: ResourceModel) -> list[Diagnostic]:
             diags.append(error(Code.COLLECTION_HAS_ATTR,
                                f"collection '{r.name}' must not declare attributes",
                                r.span))
-        # with an unknown parent the inherited attributes are unknown too
-        if (r.kind is ResourceKind.NORMAL and not unbound_parent
-                and not rm.attributes_of(r.name)):
+        # with an unknown ancestor the inherited attributes are unknown too
+        if (r.kind is ResourceKind.NORMAL and not rm.attributes_of(r.name)
+                and not _unknown_ancestor(by_name, r)):
             diags.append(error(Code.NORMAL_NO_ATTR,
                                f"resource '{r.name}' declares no attributes",
                                r.span))
@@ -248,6 +247,16 @@ def _parent_cycle(lookup: dict[str, ResourceDef] | dict[str, State],
         seen.add(cur.name)
         cur = lookup.get(cur.parent)
     return cur is not None and cur.name in seen
+
+
+def _unknown_ancestor(lookup: dict[str, ResourceDef], start: ResourceDef) -> bool:
+    """Whether following parents from start reaches a name not in lookup."""
+    cur, hops = start, 0
+    while cur.parent is not None and hops <= len(lookup):
+        if cur.parent not in lookup:
+            return True
+        cur, hops = lookup[cur.parent], hops + 1
+    return False
 
 
 def validate_behavioral_model(bm: BehavioralModel, rm: ResourceModel) -> list[Diagnostic]:

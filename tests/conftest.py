@@ -23,7 +23,7 @@ def record(criterion: int, ok: bool, detail: str) -> None:
 
 def run_cli(*args: str) -> subprocess.CompletedProcess[str]:
     """Invoke the command line in a fresh interpreter, from the repo root."""
-    return subprocess.run([sys.executable, "-m", "restcheck.cli", *args],
+    return subprocess.run([sys.executable, "-m", "restcheck", *args],
                           capture_output=True, text=True, cwd=ROOT)
 
 

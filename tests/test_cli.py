@@ -2,13 +2,11 @@
 from __future__ import annotations
 
 import json
-import subprocess
-import sys
 
 import jsonschema
 import pytest
 
-from conftest import DATA, EXAMPLES, GOLDEN, ROOT, run_cli
+from conftest import DATA, EXAMPLES, GOLDEN, run_cli
 
 from restcheck import cli
 from restcheck.oracle import FiniteModel, OracleResult, OracleStatus
@@ -25,13 +23,6 @@ def test_check_consistent_model():
     assert proc.stdout.startswith(
         "CONSISTENT: 6 resources, 5 states, all satisfiable")
     assert proc.stderr == ""
-
-
-def test_package_runs_as_a_module():
-    proc = subprocess.run([sys.executable, "-m", "restcheck", "check", BOOKING],
-                          capture_output=True, text=True, cwd=ROOT)
-    assert proc.returncode == 0
-    assert proc.stdout.startswith("CONSISTENT:")
 
 
 def test_check_inconsistent_model():

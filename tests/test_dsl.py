@@ -78,8 +78,10 @@ def test_extends_and_composite_states():
         "  initial i\n"
         "  state outer\n"
         "  state left in outer\n"
-        "  state right in outer region 1\n"
+        "  state right in outer region 1 { inv: \"self.a = \\\"r\\\"\" }\n"
+        "  final done\n"
         "  transition i -> outer on POST\n"
+        "  transition outer -> done on DELETE R guard \"a = 1\" post \"gone\"\n"
         "}\n")
     assert rm.resource("Sub").parent == "S"
     # inherited attributes are visible through the parent chain
@@ -88,6 +90,10 @@ def test_extends_and_composite_states():
     assert bm.state("left").parent == "outer"
     assert bm.state("right").parent == "outer"
     assert bm.state("right").region == 1
+    assert bm.state("done").kind is StateKind.FINAL
+    assert (bm.transitions[1].guard, bm.transitions[1].post) == ("a = 1", "gone")
+    # formatting keeps regions, final states, invariants, guards and posts
+    assert parse_model(format_model(rm, bm)) == (rm, bm)
 
 
 def test_format_parse_fixed_point_on_corpus():
@@ -101,26 +107,6 @@ def test_format_parse_fixed_point_on_generated_models():
     for seed in range(120):
         text = _generators.model_text(random.Random(seed))
         assert dsl_fixed_point(text, f"seed {seed}") is None
-
-
-def test_format_keeps_regions_finals_guards_and_posts():
-    rm, bm = parse_model(
-        "resources T {\n"
-        "  root resource R { attr a: string }\n"
-        "}\n"
-        "behavior B for R {\n"
-        "  initial i\n"
-        "  state outer\n"
-        "  state left in outer\n"
-        "  state right in outer region 1 { inv: \"self.a = \\\"r\\\"\" }\n"
-        "  final done\n"
-        "  transition i -> outer on POST\n"
-        "  transition outer -> done on DELETE R guard \"a = 1\" post \"gone\"\n"
-        "}\n")
-    assert bm.state("right").region == 1
-    assert bm.state("done").kind is StateKind.FINAL
-    assert (bm.transitions[1].guard, bm.transitions[1].post) == ("a = 1", "gone")
-    assert parse_model(format_model(rm, bm)) == (rm, bm)
 
 
 def test_parse_error_carries_position():

@@ -141,8 +141,15 @@ def test_unbound_names_are_reported_by_validation(old, new, line, message):
 
 def test_unknown_parent_is_the_only_diagnostic():
     # attributes inherited from an unknown resource are unknown, so a
-    # resource with none of its own is not also reported as attribute-less
+    # resource with none of its own, nor any below it, is not also reported
+    # as attribute-less
     text = REFERENCES.replace("resource S { attr b: string }", "resource S extends Ghost")
+    diags = validate_model(text, "m.model").report.diagnostics
+    assert [(d.code, d.message, d.span.line) for d in diags] == [
+        (Code.UNRESOLVED_PATH, "resource 'S' extends unknown resource 'Ghost'", 3)]
+    text = (text.replace("resource S extends Ghost",
+                         "resource S extends Ghost\n  resource T extends S")
+            .replace("R -> S [0..1]\n", "R -> S [0..1]\n  association t: R -> T [0..1]\n"))
     diags = validate_model(text, "m.model").report.diagnostics
     assert [(d.code, d.message, d.span.line) for d in diags] == [
         (Code.UNRESOLVED_PATH, "resource 'S' extends unknown resource 'Ghost'", 3)]
