@@ -71,6 +71,8 @@ def check_model(text: str, file_name: str = "<input>", *,
     ontology, iris = translated
 
     tbox = reasoner.compile_tbox(ontology)
+    search = (oracle.BoundedSearch(ontology, oracle_bound)
+              if oracle_bound is not None else None)
     concepts: list[ConceptVerdict] = []
     disagreements: list[str] = []
     # the translator claims classes in declaration order, so this is the
@@ -90,8 +92,8 @@ def check_model(text: str, file_name: str = "<input>", *,
                     Code.UNSAT_STATE,
                     f"state '{entry.name}' can never be active",
                     entry.span))
-        if oracle_bound is not None:
-            checked = oracle.bounded_model_search(ontology, fragment, oracle_bound)
+        if search is not None:
+            checked = search.query(fragment)
             if not result.sat and checked.status is oracle.OracleStatus.SAT:
                 disagreements.append(
                     f"'{entry.name}': tableau reports unsatisfiable but a "

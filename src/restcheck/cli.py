@@ -68,7 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--oracle", type=_oracle_arg, metavar="bounded:k",
                        default=None,
                        help="also run the bounded model search up to domain "
-                            f"size k (1..{ORACLE_MAX_DOMAIN}) and fail on disagreement")
+                            f"size k (1..{ORACLE_MAX_DOMAIN}), grounded once per size "
+                            "and queried per class, and fail on disagreement")
     return parser
 
 

@@ -2,10 +2,15 @@
 
 Satisfiability of a class is checked by exhaustive search for a finite
 structure over domains of size 1..k: the ontology is grounded to
-propositional clauses and handed to a small DPLL solver.  Data properties
-are interpreted as partial functions over a finite literal universe (the
-values written in the ontology, in the spelling owl.canon_value gives them,
-plus a fresh one), which matches how the translation uses them.
+propositional clauses and handed to a conflict-driven (CDCL) solver with
+first-UIP clause learning.  `BoundedSearch` grounds each domain size once
+and decides every class on that grounding by solving under the assumption
+that element 0 is in the class, keeping learned clauses across queries.
+
+Data properties are interpreted as partial functions over a finite literal
+universe (the values written in the ontology, in the spelling
+owl.canon_value gives them, plus a fresh one), which matches how the
+translation uses them.
 
 Any structure the search returns is re-checked against the axioms by a
 direct evaluator before it is reported, so a positive answer carries its
@@ -154,10 +159,9 @@ class _Cnf:
 
 
 class _Encoder:
-    def __init__(self, ontology: owl.Ontology, size: int, extra_class: str | None = None):
+    def __init__(self, ontology: owl.Ontology, size: int):
         self.ontology = ontology
         self.size = size
-        self.extra_class = extra_class
         self.cnf = _Cnf()
         self.class_vars: dict[tuple[str, int], int] = {}
         self.role_vars: dict[tuple[str, int, int], int] = {}
@@ -208,8 +212,6 @@ class _Encoder:
                     if isinstance(sub, DataHasValue):
                         register(literals, canon_value(sub.value))
 
-        if self.extra_class is not None:
-            register(classes, self.extra_class)
         self.classes = classes
         self.roles = roles
         self.data_props = data_props
@@ -377,17 +379,16 @@ class _Encoder:
                 for i in range(self.size):
                     cnf.add([-self.has_vars[(ax.prop, i)], self.denote(ax.expr, i)])
 
-    def require_member(self, class_name: str):
-        # by symmetry the witness can sit at element 0
-        self.cnf.add([self.class_vars.get((class_name, 0), self.cnf.false)])
-
-    def decode(self, assignment: list[bool | None]) -> FiniteModel:
+    def decode(self, assignment: list[bool | None], member_of: str) -> FiniteModel:
+        """The structure an assignment describes.  A class outside the
+        signature is unconstrained, so element 0 alone is put in it."""
         def truth(v: int) -> bool:
             return bool(assignment[v])
 
         classes = {c: frozenset(i for i in range(self.size)
                                 if truth(self.class_vars[(c, i)]))
                    for c in self.classes}
+        classes.setdefault(member_of, frozenset({0}))
         roles = {r: frozenset((i, j) for i in range(self.size)
                               for j in range(self.size)
                               if truth(self.role_vars[(r, i, j)]))
@@ -426,68 +427,84 @@ def _fresh_literal(dt: DataType, taken: list[OwlLiteral]) -> OwlLiteral | None:
     return OwlLiteral(f"fresh{n}", dt)
 
 
-# --- DPLL --------------------------------------------------------------------
+# --- CDCL solver -------------------------------------------------------------
 
 
-def solve_cnf(num_vars: int, clauses: list[list[int]]) -> list[bool | None] | None:
+class CnfSolver:
     """Conflict-driven clause learning with two watched literals.
 
     Plain chronological backtracking degenerates on the pigeonhole-shaped
     cores the cardinality encodings produce, so conflicts are analyzed to the
     first unique implication point and the solver backjumps.
-    """
-    assign: list[bool | None] = [None] * (num_vars + 1)
-    var_level = [0] * (num_vars + 1)
-    reason: list[int | None] = [None] * (num_vars + 1)
-    watches: dict[int, list[int]] = {}
-    trail: list[int] = []
-    lim: list[int] = []  # trail length at the start of each decision level
-    db: list[list[int]] = []
 
-    def value(lit: int) -> bool | None:
-        v = assign[abs(lit)]
+    The clauses are loaded once and `solve` may be called many times, each
+    time under its own assumptions (Eén & Sörensson, *An extensible
+    SAT-solver*, SAT 2003).  Each assumption is the decision of its own
+    level, taken before any free decision, so a learned clause never rests on
+    an assumption as a fact: it follows from the clauses alone and stays
+    sound for every later query.
+    """
+
+    def __init__(self, num_vars: int, clauses: list[list[int]]):
+        self.num_vars = num_vars
+        self.assign: list[bool | None] = [None] * (num_vars + 1)
+        self.var_level = [0] * (num_vars + 1)
+        self.reason: list[int | None] = [None] * (num_vars + 1)
+        self.watches: dict[int, list[int]] = {}
+        self.trail: list[int] = []
+        self.lim: list[int] = []  # trail length at the start of each decision level
+        self.db: list[list[int]] = []
+        self.qhead = 0
+        # a conflict at level 0: the clauses have no model, whatever is assumed
+        self.unsat = False
+
+        units: list[int] = []
+        for clause in clauses:
+            c = sorted(set(clause), key=abs)
+            # sorted by variable, a literal and its negation are neighbours
+            if any(a == -b for a, b in zip(c, c[1:])):
+                continue
+            if not c:
+                self.unsat = True
+                return
+            if len(c) == 1:
+                units.append(c[0])
+                continue
+            self._add_clause(c)
+        if not all(self._enqueue(u, None) for u in units) or self._propagate() is not None:
+            self.unsat = True
+
+    def _value(self, lit: int) -> bool | None:
+        v = self.assign[abs(lit)]
         if v is None:
             return None
         return v if lit > 0 else not v
 
-    def watch(ci: int) -> None:
-        c = db[ci]
-        watches.setdefault(c[0], []).append(ci)
-        watches.setdefault(c[1], []).append(ci)
+    def _add_clause(self, c: list[int]) -> int:
+        self.db.append(c)
+        ci = len(self.db) - 1
+        self.watches.setdefault(c[0], []).append(ci)
+        self.watches.setdefault(c[1], []).append(ci)
+        return ci
 
-    units: list[int] = []
-    for clause in clauses:
-        c = sorted(set(clause), key=abs)
-        if any(-l in c for l in c):
-            continue
-        if not c:
-            return None
-        if len(c) == 1:
-            units.append(c[0])
-            continue
-        db.append(c)
-        watch(len(db) - 1)
-
-    def enqueue(lit: int, why: int | None) -> bool:
-        v = value(lit)
+    def _enqueue(self, lit: int, why: int | None) -> bool:
+        v = self._value(lit)
         if v is False:
             return False
         if v is None:
             var = abs(lit)
-            assign[var] = lit > 0
-            var_level[var] = len(lim)
-            reason[var] = why
-            trail.append(lit)
+            self.assign[var] = lit > 0
+            self.var_level[var] = len(self.lim)
+            self.reason[var] = why
+            self.trail.append(lit)
         return True
 
-    qhead = 0
-
-    def propagate() -> int | None:
+    def _propagate(self) -> int | None:
         """Exhaust unit propagation; returns a conflicting clause index."""
-        nonlocal qhead
-        while qhead < len(trail):
-            falsified = -trail[qhead]
-            qhead += 1
+        trail, watches, db, value = self.trail, self.watches, self.db, self._value
+        while self.qhead < len(trail):
+            falsified = -trail[self.qhead]
+            self.qhead += 1
             watching = watches.get(falsified, [])
             k = 0
             while k < len(watching):
@@ -511,16 +528,17 @@ def solve_cnf(num_vars: int, clauses: list[list[int]]) -> list[bool | None] | No
                     continue
                 if value(c[0]) is False:
                     return ci
-                enqueue(c[0], ci)
+                self._enqueue(c[0], ci)
                 k += 1
         return None
 
-    def analyze(confl: int) -> tuple[list[int], int]:
+    def _analyze(self, confl: int) -> tuple[list[int], int]:
         """First-UIP learned clause and the level to jump back to."""
+        trail, var_level, level = self.trail, self.var_level, len(self.lim)
         seen: set[int] = set()
         rest: list[int] = []
         counter = 0
-        clause = db[confl]
+        clause = self.db[confl]
         p: int | None = None
         idx = len(trail) - 1
         while True:
@@ -531,7 +549,7 @@ def solve_cnf(num_vars: int, clauses: list[list[int]]) -> list[bool | None] | No
                 if var in seen or var_level[var] == 0:
                     continue
                 seen.add(var)
-                if var_level[var] == len(lim):
+                if var_level[var] == level:
                     counter += 1
                 else:
                     rest.append(q)
@@ -542,7 +560,7 @@ def solve_cnf(num_vars: int, clauses: list[list[int]]) -> list[bool | None] | No
             counter -= 1
             if counter == 0:
                 break
-            clause = db[reason[abs(p)]]
+            clause = self.db[self.reason[abs(p)]]
         learned = [-p] + rest
         if not rest:
             return learned, 0
@@ -552,71 +570,115 @@ def solve_cnf(num_vars: int, clauses: list[list[int]]) -> list[bool | None] | No
         learned[1], learned[spot] = learned[spot], learned[1]
         return learned, jump
 
-    def unwind(to_level: int) -> None:
-        nonlocal qhead
-        keep = lim[to_level]
-        for lit in trail[keep:]:
-            assign[abs(lit)] = None
-        del trail[keep:]
-        del lim[to_level:]
-        qhead = len(trail)
+    def _unwind(self, to_level: int) -> None:
+        if to_level >= len(self.lim):
+            return
+        keep = self.lim[to_level]
+        for lit in self.trail[keep:]:
+            self.assign[abs(lit)] = None
+        del self.trail[keep:]
+        del self.lim[to_level:]
+        self.qhead = len(self.trail)
 
-    for u in units:
-        if not enqueue(u, None):
+    def solve(self, assumptions: tuple[int, ...] = ()) -> list[bool | None] | None:
+        """A satisfying assignment in which every assumption holds, indexed by
+        variable, or None when there is none.  The solver is back at level 0
+        when it returns, with what it learned kept."""
+        if self.unsat:
             return None
-    if propagate() is not None:
-        return None
+        try:
+            return self._search(assumptions)
+        finally:
+            self._unwind(0)
 
-    cursor = 1
-    while True:
-        confl = propagate()
-        if confl is not None:
-            if not lim:
-                return None
-            learned, jump = analyze(confl)
-            unwind(jump)
-            if len(learned) == 1:
-                enqueue(learned[0], None)
-            else:
-                db.append(learned)
-                watch(len(db) - 1)
-                enqueue(learned[0], len(db) - 1)
-            cursor = 1
-            continue
-        while cursor <= num_vars and assign[cursor] is not None:
-            cursor += 1
-        if cursor > num_vars:
-            return assign
-        lim.append(len(trail))
-        enqueue(-cursor, None)
+    def _search(self, assumptions: tuple[int, ...]) -> list[bool | None] | None:
+        assign, lim = self.assign, self.lim
+        cursor = 1
+        while True:
+            confl = self._propagate()
+            if confl is not None:
+                if not lim:
+                    self.unsat = True
+                    return None
+                learned, jump = self._analyze(confl)
+                self._unwind(jump)
+                if len(learned) == 1:
+                    self._enqueue(learned[0], None)
+                else:
+                    self._enqueue(learned[0], self._add_clause(learned))
+                cursor = 1
+                continue
+            if len(lim) < len(assumptions):
+                lit = assumptions[len(lim)]
+                held = self._value(lit)
+                if held is False:
+                    return None  # no model under these assumptions
+                lim.append(len(self.trail))
+                if held is None:
+                    self._enqueue(lit, None)
+                continue
+            while cursor <= self.num_vars and assign[cursor] is not None:
+                cursor += 1
+            if cursor > self.num_vars:
+                return list(assign)
+            lim.append(len(self.trail))
+            self._enqueue(-cursor, None)
 
 
 # --- public entry ------------------------------------------------------------
 
 
+class BoundedSearch:
+    """Bounded model search for many classes of one ontology.
+
+    The ontology is grounded once per domain size, and only when some query
+    is still open after every smaller size.  Each class is then decided on
+    that one grounding by solving under the assumption that element 0 is a
+    member (by symmetry a witness can sit at element 0), so what the solver
+    learns on one query speeds up the next.
+    """
+
+    def __init__(self, ontology: owl.Ontology, max_domain: int):
+        if max_domain < 1:
+            raise ValueError("max_domain must be at least 1")
+        if max_domain > ORACLE_MAX_DOMAIN:
+            raise BoundTooLargeError(
+                f"domain bound {max_domain} exceeds the enumeration budget ({ORACLE_MAX_DOMAIN})")
+        self.ontology = ontology
+        self.max_domain = max_domain
+        self._groundings: list[tuple[_Encoder, CnfSolver]] = []
+
+    def _grounding(self, size: int) -> tuple[_Encoder, CnfSolver]:
+        while len(self._groundings) < size:
+            enc = _Encoder(self.ontology, len(self._groundings) + 1)
+            self._groundings.append((enc, CnfSolver(enc.cnf.count, enc.cnf.clauses)))
+        return self._groundings[size - 1]
+
+    def query(self, class_name: str) -> OracleResult:
+        """Search for a structure with a nonempty extent for the class.
+
+        Tries domain sizes 1..max_domain in order; the first hit is verified
+        by the evaluator and returned.
+        """
+        for size in range(1, self.max_domain + 1):
+            enc, solver = self._grounding(size)
+            # a class outside the signature is unconstrained, so any
+            # structure of this size can hold it
+            member = enc.class_vars.get((class_name, 0))
+            assignment = solver.solve(() if member is None else (member,))
+            if assignment is None:
+                continue
+            model = enc.decode(assignment, class_name)
+            problems = check_witness(self.ontology, class_name, model)
+            if problems:
+                raise OracleInternalError(
+                    "search returned a structure the evaluator rejects: "
+                    + "; ".join(problems[:3]))
+            return OracleResult(OracleStatus.SAT, size, model)
+        return OracleResult(OracleStatus.NO_MODEL_UP_TO_BOUND, self.max_domain)
+
+
 def bounded_model_search(ontology: owl.Ontology, class_name: str,
                          max_domain: int) -> OracleResult:
-    """Search for a structure with a nonempty extent for the class.
-
-    Tries domain sizes 1..max_domain in order; the first hit is verified by
-    the evaluator and returned.
-    """
-    if max_domain < 1:
-        raise ValueError("max_domain must be at least 1")
-    if max_domain > ORACLE_MAX_DOMAIN:
-        raise BoundTooLargeError(
-            f"domain bound {max_domain} exceeds the enumeration budget ({ORACLE_MAX_DOMAIN})")
-    for size in range(1, max_domain + 1):
-        enc = _Encoder(ontology, size, extra_class=class_name)
-        enc.require_member(class_name)
-        assignment = solve_cnf(enc.cnf.count, enc.cnf.clauses)
-        if assignment is None:
-            continue
-        model = enc.decode(assignment)
-        problems = check_witness(ontology, class_name, model)
-        if problems:
-            raise OracleInternalError(
-                "search returned a structure the evaluator rejects: "
-                + "; ".join(problems[:3]))
-        return OracleResult(OracleStatus.SAT, size, model)
-    return OracleResult(OracleStatus.NO_MODEL_UP_TO_BOUND, max_domain)
+    """Decide one class: `BoundedSearch.query` on a fresh search."""
+    return BoundedSearch(ontology, max_domain).query(class_name)

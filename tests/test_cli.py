@@ -233,12 +233,12 @@ def test_unsatisfiable_resource_is_reported_as_a_resource(tmp_path, capsys):
     assert cli.main(["check", str(path), "--oracle", "bounded:3"]) == 1
 
 
-def _search_finds_a_model(ontology, fragment, bound):
+def _search_finds_a_model(search, fragment):
     return OracleResult(OracleStatus.SAT, 1, FiniteModel(1, {}, {}, {}))
 
 
-def _search_finds_none(ontology, fragment, bound):
-    return OracleResult(OracleStatus.NO_MODEL_UP_TO_BOUND, bound)
+def _search_finds_none(search, fragment):
+    return OracleResult(OracleStatus.NO_MODEL_UP_TO_BOUND, search.max_domain)
 
 
 @pytest.mark.parametrize("search, path, expected", [
@@ -249,7 +249,7 @@ def _search_finds_none(ontology, fragment, bound):
 def test_oracle_disagreement_exit_code(monkeypatch, capsys, search, path, expected):
     """Force the search to contradict the tableau and watch the front end."""
     import restcheck.oracle
-    monkeypatch.setattr(restcheck.oracle, "bounded_model_search", search)
+    monkeypatch.setattr(restcheck.oracle.BoundedSearch, "query", search)
     code = cli.main(["check", path, "--oracle", "bounded:3"])
     assert code == 4
     err = capsys.readouterr().err

@@ -14,9 +14,12 @@ from restcheck.owl import (DEFAULT_BASE_IRI, Complement, DataExactCard,
                            ObjectPropertyDomain, Ontology, OwlLiteral, Some,
                            SubClassOf, Union)
 from restcheck.model import DataType
-from restcheck.oracle import (ORACLE_MAX_DOMAIN, BoundTooLargeError,
-                              FiniteModel, OracleStatus, bounded_model_search,
-                              eval_expr, solve_cnf, violations)
+from restcheck.oracle import (ORACLE_MAX_DOMAIN, BoundedSearch,
+                              BoundTooLargeError, CnfSolver, FiniteModel,
+                              OracleStatus, bounded_model_search, eval_expr,
+                              violations)
+
+import _generators
 
 
 # --- the propositional core --------------------------------------------------
@@ -35,21 +38,21 @@ def _holds(assign, clauses) -> bool:
 
 
 def test_trivial_formulas():
-    assert solve_cnf(0, []) is not None
-    assert solve_cnf(1, [[1]])[1] is True
-    assert solve_cnf(1, [[-1]])[1] is False
-    assert solve_cnf(1, [[1], [-1]]) is None
-    assert solve_cnf(1, [[]]) is None
+    assert CnfSolver(0, []).solve() is not None
+    assert CnfSolver(1, [[1]]).solve()[1] is True
+    assert CnfSolver(1, [[-1]]).solve()[1] is False
+    assert CnfSolver(1, [[1], [-1]]).solve() is None
+    assert CnfSolver(1, [[]]).solve() is None
     # tautological and duplicated literals are harmless
-    assert solve_cnf(2, [[1, -1], [2, 2]])[2] is True
+    assert CnfSolver(2, [[1, -1], [2, 2]]).solve()[2] is True
 
 
 def test_unit_chain_propagates():
     clauses = [[1], [-1, 2], [-2, 3], [-3, 4]]
-    model = solve_cnf(4, clauses)
+    model = CnfSolver(4, clauses).solve()
     assert model is not None and _holds(model, clauses)
     assert model[1:5] == [True, True, True, True]
-    assert solve_cnf(4, clauses + [[-4]]) is None
+    assert CnfSolver(4, clauses + [[-4]]).solve() is None
 
 
 def test_against_exhaustion_on_random_formulas():
@@ -59,7 +62,7 @@ def test_against_exhaustion_on_random_formulas():
         clauses = [[rng.choice((1, -1)) * rng.randint(1, n)
                     for _ in range(rng.randint(1, 3))]
                    for _ in range(rng.randint(1, 24))]
-        model = solve_cnf(n, clauses)
+        model = CnfSolver(n, clauses).solve()
         if _brute_force(n, clauses):
             assert model is not None, f"seed {seed}"
             assert _holds(model, clauses), f"seed {seed}"
@@ -67,9 +70,9 @@ def test_against_exhaustion_on_random_formulas():
             assert model is None, f"seed {seed}"
 
 
-def test_hole_counting_conflicts_stay_fast():
-    """Five pigeons, four holes.  Counting conflicts like this defeat plain
-    chronological backtracking; conflict-driven jumps keep them cheap."""
+def _pigeons(guard: int | None = None) -> list[list[int]]:
+    """Five pigeons, four holes: variables 1..20.  With a guard variable, the
+    clauses hold only when the guard does."""
     def var(p, h):
         return p * 4 + h + 1
 
@@ -78,9 +81,60 @@ def test_hole_counting_conflicts_stay_fast():
         for p1 in range(5):
             for p2 in range(p1 + 1, 5):
                 clauses.append([-var(p1, h), -var(p2, h)])
+    if guard is not None:
+        clauses = [c + [-guard] for c in clauses]
+    return clauses
+
+
+def test_hole_counting_conflicts_stay_fast():
+    """Counting conflicts like this defeat plain chronological backtracking;
+    conflict-driven jumps keep them cheap."""
     start = time.perf_counter()
-    assert solve_cnf(20, clauses) is None
+    assert CnfSolver(20, _pigeons()).solve() is None
     assert time.perf_counter() - start < 5.0
+
+
+def test_assumptions_leave_the_clause_set_open():
+    """A query that fails under its assumptions does not close the clause set,
+    and what it learned does not change the next answer."""
+    solver = CnfSolver(21, _pigeons(guard=21))
+    assert solver.solve((21,)) is None
+    model = solver.solve((-21,))
+    assert model is not None and model[21] is False
+    assert solver.solve((21,)) is None
+    assert solver.solve() is not None
+    # an assumption that contradicts another is just another failed query
+    assert solver.solve((1, -1)) is None
+    assert solver.solve((1,))[1] is True
+
+
+def test_unsat_clause_set_answers_none_to_every_query():
+    for solver in (CnfSolver(3, [[1], [-1, 2], [-2]]), CnfSolver(20, _pigeons())):
+        assert solver.solve() is None
+        assert solver.solve((3,)) is None
+        assert solver.solve((-3,)) is None
+        assert solver.solve() is None
+
+
+def test_queries_under_assumptions_against_exhaustion():
+    """One loaded clause set answers a run of queries; each answer must match
+    the clauses with the assumptions added as units."""
+    for seed in range(150):
+        rng = random.Random(seed)
+        n = rng.randint(2, 8)
+        clauses = [[rng.choice((1, -1)) * rng.randint(1, n)
+                    for _ in range(rng.randint(2, 3))]
+                   for _ in range(rng.randint(4, 4 * n))]
+        solver = CnfSolver(n, clauses)
+        for _ in range(6):
+            assumed = tuple(rng.choice((1, -1)) * v
+                            for v in rng.sample(range(1, n + 1), rng.randint(0, min(3, n))))
+            whole = clauses + [[a] for a in assumed]
+            model = solver.solve(assumed)
+            if _brute_force(n, whole):
+                assert model is not None and _holds(model, whole), f"seed {seed}"
+            else:
+                assert model is None, f"seed {seed}"
 
 
 # --- the evaluator -----------------------------------------------------------
@@ -198,3 +252,28 @@ def test_counting_interaction_regression():
     assert res.status is OracleStatus.NO_MODEL_UP_TO_BOUND
     assert time.perf_counter() - start < 5.0
     assert bounded_model_search(ont, "C", 4).status is OracleStatus.SAT
+
+
+def test_shared_search_answers_like_a_fresh_one():
+    """Every class of one ontology, decided on one shared search in either
+    order, gets the (status, bound) of a fresh one-class search.
+
+    A query asks whether the grounding at some size has a model with element
+    0 in the class.  The class membership is an assumption, a decision of its
+    own level, never a clause, so conflict analysis resolves only clauses of
+    the grounding and every clause learned on one query is a consequence of
+    the grounding alone.  Adding consequences leaves the models of the clause
+    set as they were, so a later query sees the same models, and so the same
+    smallest size, as on a fresh grounding.  `Fresh` lies outside the
+    signature and must stay an unconstrained class.
+    """
+    names = _generators.CLASS_NAMES + ("Fresh",)
+    for seed in range(100):
+        ont = _generators.ontology(random.Random(seed))
+        fresh = {n: bounded_model_search(ont, n, 4) for n in names}
+        for order in (names, names[::-1]):
+            search = BoundedSearch(ont, 4)
+            for name in order:
+                got = search.query(name)
+                assert (got.status, got.bound) == (fresh[name].status, fresh[name].bound), \
+                    f"seed {seed} {name}"
